@@ -32,19 +32,6 @@ struct StudyConfig {
   /// (in-place, no sharding), 0 = all hardware threads.
   unsigned threads = 1;
 
-  /// Floor on UEs per shard for the parallel engine: populations below
-  /// threads * shards_per_thread * this no longer fan out into shards too
-  /// small to amortize their fixed setup cost. Pure scheduling knob —
-  /// output bytes are invariant under it.
-  std::size_t min_ues_per_shard = 256;
-
-  /// Reuse per-shard staging state (CoreNetwork + record/metrics buffers)
-  /// across days instead of reallocating it every day. Byte-identical
-  /// either way (each shard resets on entry); false restores the old
-  /// fresh-allocation-per-day behavior and exists for the reuse
-  /// equivalence tests and as an escape hatch.
-  bool reuse_shard_state = true;
-
   geo::CensusConfig census;
   topology::DeploymentConfig deployment;
   devices::CatalogConfig catalog;

@@ -43,6 +43,7 @@ class ShardedDayRunner;
 namespace tl::supervise {
 class CancelToken;
 class StudySupervisor;
+class TaskFaultInjector;
 }
 
 namespace tl::core {
@@ -100,10 +101,12 @@ class Simulator {
   void run();
   /// Runs a single day (idempotent per day; callers sequence days). Running
   /// the day at the checkpoint cursor advances the cursor; out-of-order
-  /// replays leave it alone. With `config().threads` != 1 the day executes
-  /// on the parallel engine (src/exec): UE shards simulate concurrently and
-  /// merge back in canonical UE order, so sinks — including an attached
-  /// durable log — observe a stream byte-identical to the serial run.
+  /// replays leave it alone. Every day runs one UE loop: at one thread it
+  /// emits straight into the sinks; with `config().threads` != 1 or a
+  /// supervisor installed, contiguous UE shards simulate concurrently into a
+  /// slab of per-shard buffers kept across days and merge back in canonical
+  /// UE order, so sinks — including an attached durable log — observe a
+  /// stream byte-identical to the serial run.
   void run_day(int day);
 
   /// Installs (or clears, with nullptr) a borrowed supervisor: subsequent
@@ -137,12 +140,15 @@ class Simulator {
   /// Snapshot after the last completed day; feed to a fresh Simulator's
   /// restore() to continue the run with an identical record stream.
   DayCheckpoint checkpoint() const;
-  /// Restores the day cursor and counters. Throws std::invalid_argument on
-  /// a seed mismatch (the checkpoint belongs to a different study).
+  /// Restores the day cursor, counters and quarantine set. Throws
+  /// std::invalid_argument on a seed mismatch (the checkpoint belongs to a
+  /// different study), a day cursor past config().days, or a quarantined UE
+  /// outside the population — before changing any state.
   void restore(const DayCheckpoint& checkpoint);
-  /// File forms of checkpoint()/restore(). load_checkpoint returns false
-  /// when `path` does not exist and throws std::runtime_error on a corrupt
-  /// or mismatched file.
+  /// File forms of checkpoint()/restore(), in the checkpoint_codec format.
+  /// load_checkpoint returns false when `path` does not exist and throws
+  /// std::runtime_error on a corrupt or mismatched file, leaving the
+  /// simulator untouched.
   void save_checkpoint(const std::string& path) const;
   bool load_checkpoint(const std::string& path);
   /// First day the next run() call will simulate.
@@ -176,33 +182,39 @@ class Simulator {
  private:
   /// Where one UE-day emits: the core network booking its procedures, the
   /// record/metrics sinks receiving its stream, and a record counter. The
-  /// serial path aims it at the simulator's own state; the parallel path at
-  /// per-shard buffers that merge back in UE order. Keeping every mutation
-  /// behind this frame is what makes simulate_ue_day const — safe to call
-  /// concurrently for disjoint UE-days by construction.
+  /// serial day aims it at the simulator's own state; sharded and supervised
+  /// days at a DayShards shard that merges back in UE order. Keeping every
+  /// mutation behind this frame is what makes simulate_range const — safe to
+  /// call concurrently for disjoint UE ranges by construction.
   struct EmitFrame {
     corenet::CoreNetwork* core = nullptr;
     std::span<telemetry::RecordSink* const> sinks;
     std::span<telemetry::MetricsSink* const> metrics_sinks;
     std::uint64_t records = 0;
-    /// Cooperative cancellation, polled once per trace event. Null (the
-    /// serial/sharded paths) costs a single branch per event; the
-    /// supervised path points it at the shard attempt's token so a
-    /// watchdog-fired deadline interrupts the UE mid-day.
+    /// Supervision hooks, both null on unsupervised days (a single branch
+    /// each). `cancel` is the shard attempt's token, polled once per UE and
+    /// once per trace event so a watchdog-fired deadline interrupts the UE
+    /// mid-day; `injector` is the chaos injector whose per-UE poison channel
+    /// runs before each UE.
     const supervise::CancelToken* cancel = nullptr;
+    const supervise::TaskFaultInjector* injector = nullptr;
   };
 
-  void run_day_serial(int day);
-  void run_day_sharded(int day, unsigned threads);
+  /// The one UE loop: simulates UEs [first, last) of `day` into `out`,
+  /// skipping the UE ids in `skip` (sorted). The only caller of
+  /// simulate_ue_day and simulate_legacy_ue_day.
+  void simulate_range(EmitFrame& out, int day, std::size_t first, std::size_t last,
+                      std::span<const devices::UeId> skip) const;
+  /// Sharded or supervised day over the persistent DayShards slab:
+  /// unsupervised days use runner_'s pipelined ordered merge, supervised
+  /// days StudySupervisor::run_day. Both merge in canonical UE order, so
+  /// sinks observe the serial day's stream byte for byte.
+  void run_day_shards(int day, unsigned threads);
   /// Per-shard staging state (private CoreNetwork + record/metrics buffers)
   /// kept across days: shards reset-not-reallocate on entry, so day N+1
   /// simulates into warm buffers instead of re-paying allocation growth and
   /// governor syncs in the hot loop. Defined in simulator.cpp.
   struct DayShards;
-  /// Defined in simulator_supervised.cpp (the only TU that needs the
-  /// supervisor's full type).
-  void run_day_supervised(int day);
-  bool is_quarantined(devices::UeId ue) const noexcept;
   void simulate_ue_day(const devices::Ue& ue, const mobility::UePlan& plan, int day,
                        EmitFrame& out) const;
   /// Legacy-only UEs never surface at the EPC observation point, but their

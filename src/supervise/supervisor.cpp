@@ -137,7 +137,6 @@ StudySupervisor::StudySupervisor(SupervisorOptions options)
   exec::ShardedDayRunner::Options ro;
   ro.threads = options_.threads;
   ro.shards_per_thread = options_.shards_per_thread;
-  ro.min_items_per_shard = options_.min_items_per_shard;
   runner_ = std::make_unique<exec::ShardedDayRunner>(ro);
 }
 

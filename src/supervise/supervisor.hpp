@@ -124,8 +124,6 @@ struct SupervisorOptions {
   /// which matters more here than shaving fixed per-shard cost.
   unsigned threads = 0;
   unsigned shards_per_thread = 4;
-  /// Floor on items per shard (ShardedDayRunner::Options semantics).
-  std::size_t min_items_per_shard = 1;
 
   /// Re-attempts allowed per shard after its first try (per bisection round).
   int max_retries = 4;

@@ -714,6 +714,30 @@ TEST(CheckpointFile, LoadRejectsTruncationBitFlipsAndTrailingGarbage) {
   EXPECT_EQ(victim.next_day(), 1);
 }
 
+TEST(CheckpointFile, LoadRejectsAQuarantineOutsideThePopulationWithoutPartlyRestoring) {
+  TempDir tmp{"ckpt_quarantine_range"};
+  fs::create_directories(tmp.path);
+  const std::string path = tmp.path + "/study.checkpoint";
+
+  // A valid file from a larger study with the same seed: only its quarantine
+  // set (UE 1500) falls outside the loading simulator's population.
+  StudyConfig big = chaos_config();
+  big.population.count = 2'000;
+  Simulator source{big};
+  source.run_day(0);
+  source.set_quarantined_ues({1'500});
+  source.save_checkpoint(path);
+
+  StudyConfig small = chaos_config();
+  small.population.count = 1'000;
+  Simulator victim{small};
+  victim.set_quarantined_ues({7});
+  EXPECT_THROW(victim.load_checkpoint(path), std::runtime_error);
+  EXPECT_EQ(victim.next_day(), 0);
+  EXPECT_EQ(victim.records_emitted(), 0u);
+  EXPECT_EQ(victim.quarantined_ues(), (std::vector<devices::UeId>{7}));
+}
+
 // --- validating sink ---------------------------------------------------------
 
 TEST(ValidatingSinkTest, CountsEveryDefectClass) {

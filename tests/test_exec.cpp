@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,8 @@
 #include "exec/sharded_runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "io/file.hpp"
+#include "supervise/supervisor.hpp"
+#include "supervise/task_fault_injector.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/record_log.hpp"
 #include "telemetry/signaling_dataset.hpp"
@@ -477,14 +480,15 @@ TEST(Determinism, DurableLogBytesAreIdenticalAcrossThreadCounts) {
 
 // --- shard-state reuse across days -------------------------------------------
 //
-// run_day_sharded keeps its per-shard slab (CoreNetwork + record/metrics
-// buffers) alive across days, resetting it at simulate-callback entry;
-// StudyConfig::reuse_shard_state = false restores the old
-// reconstruct-every-day behavior. The two modes must be indistinguishable in
-// every observable: record bytes, metrics rows, WAL bytes, engine counters,
-// and the governor's peak accounting (warm buffers re-reserve through the
-// same capacity-doubling brackets organic growth uses, so the byte
-// high-water mark is the same trajectory either way).
+// Sharded and supervised days keep their per-shard slab (CoreNetwork +
+// record/metrics buffers) alive across days, resetting each shard at
+// simulate-callback entry. The oracle is a fresh Simulator per day, restored
+// from the previous day's checkpoint: its slab is cold every day, as if
+// nothing were reused. The two must be indistinguishable in every
+// observable: record bytes, metrics rows, WAL bytes, engine counters, and
+// the governor's peak accounting (warm buffers re-reserve through the same
+// capacity-doubling brackets organic growth uses, so the byte high-water
+// mark is the same trajectory either way).
 
 struct ReuseCapture {
   std::vector<std::uint8_t> record_bytes;
@@ -493,15 +497,21 @@ struct ReuseCapture {
   std::uint64_t total_handovers = 0;
   std::string wal;
   std::uint64_t governor_peak = 0;
+  std::uint64_t supervised_retries = 0;
 };
 
-ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
-                           bool switch_threads_mid_study = false) {
+struct ReuseArm {
+  bool fresh_per_day = false;  ///< the oracle: a new Simulator every day
+  unsigned threads = 2;
+  unsigned later_threads = 0;  ///< nonzero: days 1-2 run at this many workers
+  bool supervised = false;     ///< days run through a StudySupervisor
+  bool transient_fault_day1 = false;  ///< every day-1 shard fails its first try
+};
+
+ReuseCapture run_reuse_arm(const ReuseArm& arm, const std::string& dir) {
   StudyConfig cfg = StudyConfig::test_scale();
   cfg.days = 3;
   cfg.population.count = 2'000;
-  cfg.reuse_shard_state = reuse;
-  Simulator sim{cfg};
 
   govern::MemoryBudget budget;  // budget 0: accounting only, always Steady
   govern::ScopedGlobalGovernor install{&budget};
@@ -513,36 +523,57 @@ ReuseCapture run_reuse_arm(bool reuse, unsigned threads, const std::string& dir,
   telemetry::DurableRecordSink durable{log};
   log.open();
 
+  supervise::SupervisorOptions sup_opt;
+  sup_opt.threads = arm.threads;
+  supervise::StudySupervisor clean{sup_opt};
+  supervise::TaskFaultConfig fault;
+  fault.io_error_rate = 1.0;  // transient (retryable) EIO at attempt entry
+  fault.max_faulty_attempts = 1;
+  const supervise::TaskFaultInjector injector{fault};
+  sup_opt.injector = &injector;
+  supervise::StudySupervisor faulty{sup_opt};
+
   telemetry::SignalingDataset dataset;
   telemetry::UeDayStore ue_days;
-  DayCheckpoint day0;
-  day0.seed = cfg.seed;
-  sim.set_threads(threads);
-  sim.restore(day0);
-  sim.attach_durable_log(&durable);
-  sim.add_sink(&dataset);
-  sim.add_metrics_sink(&ue_days);
-  if (switch_threads_mid_study) {
-    sim.run_day(0);
-    sim.set_threads(threads == 2 ? 4 : 2);  // shard geometry changes mid-study
-    sim.run_day(1);
-    sim.run_day(2);
-  } else {
-    sim.run();
+  std::unique_ptr<Simulator> sim;
+  const auto detach = [&] {
+    sim->remove_sink(&dataset);
+    sim->remove_sink(&durable);
+    sim->remove_metrics_sink(&ue_days);
+  };
+  DayCheckpoint resume;
+  resume.seed = cfg.seed;
+  for (int day = 0; day < cfg.days; ++day) {
+    if (sim == nullptr || arm.fresh_per_day) {
+      if (sim != nullptr) {
+        resume = sim->checkpoint();
+        detach();
+        sim.reset();  // the previous day's slab goes with it
+      }
+      sim = std::make_unique<Simulator>(cfg);
+      sim->restore(resume);
+      sim->attach_durable_log(&durable);
+      sim->add_sink(&dataset);
+      sim->add_metrics_sink(&ue_days);
+    }
+    sim->set_threads(day > 0 && arm.later_threads != 0 ? arm.later_threads : arm.threads);
+    if (arm.supervised) {
+      sim->set_supervisor(arm.transient_fault_day1 && day == 1 ? &faulty : &clean);
+    }
+    sim->run_day(day);
   }
-  sim.remove_sink(&dataset);
-  sim.remove_sink(&durable);
-  sim.remove_metrics_sink(&ue_days);
+  detach();
 
   ReuseCapture c;
   for (const auto& record : dataset.records()) {
     RecordLog::encode_record(record, c.record_bytes);
   }
   c.metrics.assign(ue_days.rows().begin(), ue_days.rows().end());
-  c.records_emitted = sim.records_emitted();
-  c.total_handovers = sim.core_network().total_handovers();
+  c.records_emitted = sim->records_emitted();
+  c.total_handovers = sim->core_network().total_handovers();
   c.wal = log_bytes(dir);
   c.governor_peak = budget.peak_bytes();
+  c.supervised_retries = clean.summary().retries + faulty.summary().retries;
   return c;
 }
 
@@ -565,8 +596,9 @@ TEST(ShardStateReuse, OutputsIdenticalToFreshStateAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     TempDir fresh_dir{"reuse_fresh_" + std::to_string(threads)};
     TempDir warm_dir{"reuse_warm_" + std::to_string(threads)};
-    const ReuseCapture fresh = run_reuse_arm(false, threads, fresh_dir.path);
-    const ReuseCapture warm = run_reuse_arm(true, threads, warm_dir.path);
+    const ReuseCapture fresh =
+        run_reuse_arm({.fresh_per_day = true, .threads = threads}, fresh_dir.path);
+    const ReuseCapture warm = run_reuse_arm({.threads = threads}, warm_dir.path);
     expect_reuse_eq(warm, fresh);
   }
 }
@@ -576,9 +608,38 @@ TEST(ShardStateReuse, SurvivesMidStudyThreadCountChange) {
   // reused slab, which must rebuild without leaking day-0 state into day 1.
   TempDir fresh_dir{"reuse_fresh_switch"};
   TempDir warm_dir{"reuse_warm_switch"};
-  const ReuseCapture fresh = run_reuse_arm(false, 2, fresh_dir.path, true);
-  const ReuseCapture warm = run_reuse_arm(true, 2, warm_dir.path, true);
+  const ReuseCapture fresh = run_reuse_arm(
+      {.fresh_per_day = true, .threads = 2, .later_threads = 4}, fresh_dir.path);
+  const ReuseCapture warm =
+      run_reuse_arm({.threads = 2, .later_threads = 4}, warm_dir.path);
   expect_reuse_eq(warm, fresh);
+}
+
+TEST(ShardStateReuse, SupervisedDaysReuseTheSlab) {
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TempDir fresh_dir{"reuse_fresh_sup_" + std::to_string(threads)};
+    TempDir warm_dir{"reuse_warm_sup_" + std::to_string(threads)};
+    const ReuseCapture fresh = run_reuse_arm(
+        {.fresh_per_day = true, .threads = threads, .supervised = true}, fresh_dir.path);
+    const ReuseCapture warm =
+        run_reuse_arm({.threads = threads, .supervised = true}, warm_dir.path);
+    expect_reuse_eq(warm, fresh);
+    EXPECT_EQ(warm.supervised_retries, 0u);
+  }
+}
+
+TEST(ShardStateReuse, SupervisedRetryOnWarmSlabDoesNotDoubleEmit) {
+  // Every day-1 shard fails its first attempt with a transient EIO and is
+  // retried into the shard it already owns from day 0.
+  TempDir fresh_dir{"reuse_fresh_retry"};
+  TempDir warm_dir{"reuse_warm_retry"};
+  const ReuseCapture fresh = run_reuse_arm(
+      {.fresh_per_day = true, .threads = 2, .supervised = true}, fresh_dir.path);
+  const ReuseCapture warm = run_reuse_arm(
+      {.threads = 2, .supervised = true, .transient_fault_day1 = true}, warm_dir.path);
+  expect_reuse_eq(warm, fresh);
+  EXPECT_GT(warm.supervised_retries, 0u);
 }
 
 }  // namespace
