@@ -13,9 +13,9 @@
 #include <cmath>
 #include <iostream>
 
+#include "analysis/pingpong.hpp"
 #include "bench_world.hpp"
 #include "core/qos_model.hpp"
-#include "telemetry/pingpong.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "telemetry/sampling.hpp"
 #include "util/table.hpp"
@@ -32,6 +32,19 @@ core::StudyConfig ablation_config() {
   return cfg;
 }
 
+/// Feeds executed hops to the ping-pong detector and adds up the signaling
+/// time of each bounce's returning leg.
+struct PingPongSink final : telemetry::RecordSink {
+  analysis::PingPongDetector detector{10'000};
+  double wasted_ms = 0.0;
+  void consume(const telemetry::HandoverRecord& r) override {
+    if (r.success && detector.observe({r.anon_user_id, r.timestamp, r.source_sector,
+                                       r.target_sector})) {
+      wasted_ms += r.duration_ms;
+    }
+  }
+};
+
 void print_pingpong_ablation() {
   util::print_section(std::cout,
                       "Ablation A: ping-pong suppression (sub-cell movement detection)");
@@ -41,14 +54,14 @@ void print_pingpong_ablation() {
     cfg.suppress_ping_pong = suppress;
     cfg.ping_pong_window_ms = 10'000;
     core::Simulator sim{cfg};
-    telemetry::PingPongDetector detector{10'000};
-    sim.add_sink(&detector);
+    PingPongSink pingpong;
+    sim.add_sink(&pingpong);
     sim.run();
     t.add_row({suppress ? "suppression ON" : "baseline",
-               std::to_string(detector.total_handovers()),
-               std::to_string(detector.ping_pongs()),
-               util::TextTable::pct(detector.ping_pong_rate(), 2),
-               util::TextTable::num(detector.wasted_signaling_ms() / 1'000.0, 1)});
+               std::to_string(pingpong.detector.hops()),
+               std::to_string(pingpong.detector.ping_pongs()),
+               util::TextTable::pct(pingpong.detector.rate(), 2),
+               util::TextTable::num(pingpong.wasted_ms / 1'000.0, 1)});
   }
   t.print(std::cout);
 }
@@ -130,16 +143,12 @@ void print_qos_ablation() {
 }
 
 void BM_PingPongDetection(benchmark::State& state) {
-  telemetry::HandoverRecord r;
-  r.success = true;
   for (auto _ : state) {
-    telemetry::PingPongDetector detector{5'000};
+    analysis::PingPongDetector detector{5'000};
     for (int i = 0; i < 100'000; ++i) {
-      r.anon_user_id = static_cast<std::uint64_t>(i % 1'000);
-      r.timestamp = i * 100;
-      r.source_sector = static_cast<topology::SectorId>(i % 7);
-      r.target_sector = static_cast<topology::SectorId>((i + 1) % 7);
-      detector.consume(r);
+      detector.observe({static_cast<std::uint64_t>(i % 1'000), i * 100,
+                        static_cast<std::uint32_t>(i % 7),
+                        static_cast<std::uint32_t>((i + 1) % 7)});
     }
     benchmark::DoNotOptimize(detector.ping_pongs());
   }

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/pingpong.hpp"
 #include "core/control_plane.hpp"
 #include "core/qos_model.hpp"
 #include "core/simulator.hpp"
@@ -33,7 +34,6 @@
 #include "supervise/supervisor.hpp"
 #include "supervise/task_fault_injector.hpp"
 #include "telemetry/aggregates.hpp"
-#include "telemetry/pingpong.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -50,6 +50,19 @@ namespace {
             << "  --fault-rate [0, 1]   per-attempt shard fault probability\n";
   std::exit(2);
 }
+
+/// Feeds executed hops to the ping-pong detector and adds up the signaling
+/// time of each bounce's returning leg.
+struct PingPongSink final : tl::telemetry::RecordSink {
+  tl::analysis::PingPongDetector detector{10'000};
+  double wasted_ms = 0.0;
+  void consume(const tl::telemetry::HandoverRecord& r) override {
+    if (r.success && detector.observe({r.anon_user_id, r.timestamp, r.source_sector,
+                                       r.target_sector})) {
+      wasted_ms += r.duration_ms;
+    }
+  }
+};
 
 }  // namespace
 
@@ -125,7 +138,7 @@ int main(int argc, char** argv) {
     supervisor = std::make_unique<supervise::StudySupervisor>(sup_opt);
     sim.set_supervisor(supervisor.get());
   }
-  telemetry::PingPongDetector pingpong{10'000};
+  PingPongSink pingpong;
   core::QosAggregator qos;
   telemetry::CauseAggregator causes{config.days, sim.catalog().manufacturers().size()};
   telemetry::UeDayStore ue_days;
@@ -158,10 +171,10 @@ int main(int argc, char** argv) {
 
   util::print_section(std::cout, "Handover health");
   util::TextTable hh{{"Metric", "Value"}};
-  hh.add_row({"handovers", std::to_string(pingpong.total_handovers())});
-  hh.add_row({"ping-pong rate", util::TextTable::pct(pingpong.ping_pong_rate(), 2)});
+  hh.add_row({"handovers", std::to_string(pingpong.detector.hops())});
+  hh.add_row({"ping-pong rate", util::TextTable::pct(pingpong.detector.rate(), 2)});
   hh.add_row({"wasted PP signaling",
-              util::TextTable::num(pingpong.wasted_signaling_ms() / 1'000.0, 1) + " s"});
+              util::TextTable::num(pingpong.wasted_ms / 1'000.0, 1) + " s"});
   hh.add_row({"mean interruption (success)",
               util::TextTable::num(qos.mean_interruption_success_ms(), 1) + " ms"});
   hh.add_row({"mean interruption (failure)",

@@ -1,7 +1,9 @@
 #include "core/checkpoint_codec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
 #include "util/crc32c.hpp"
 
 namespace tl::core {
@@ -14,26 +16,9 @@ constexpr std::uint8_t kMagic[4] = {'T', 'L', 'C', 'P'};
 constexpr std::uint16_t kVersionV1 = 1;
 constexpr std::uint16_t kVersionV2 = 2;
 
-void put_u16(std::vector<std::uint8_t>& v, std::uint16_t x) {
-  v.push_back(static_cast<std::uint8_t>(x));
-  v.push_back(static_cast<std::uint8_t>(x >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 // magic + version + next_day + seed + records + 13 counters per region
 constexpr std::size_t kRegionCounters = 13;
@@ -46,7 +31,7 @@ constexpr std::size_t kV1Size = kFixedSize + 4;  // + crc
 std::vector<std::uint8_t> encode_checkpoint(const DayCheckpoint& cp) {
   std::vector<std::uint8_t> out;
   out.reserve(kFixedSize + 8 + cp.quarantined_ues.size() * 4);
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
+  for (const std::uint8_t b : kMagic) out.push_back(b);
   put_u16(out, kVersionV2);
   put_u32(out, static_cast<std::uint32_t>(cp.next_day));
   put_u64(out, cp.seed);
@@ -80,21 +65,19 @@ DayCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   const auto corrupt = [] {
     return std::runtime_error{"decode_checkpoint: corrupt checkpoint bytes"};
   };
+  constexpr const char* kContext = "decode_checkpoint";
   // Structure first (so the CRC offset is trustworthy), CRC second, field
   // parse last: truncation and extension fail the exact-size checks, bit
   // flips fail either the structure checks or the CRC.
   if (bytes.size() < kV1Size) throw corrupt();
-  const std::uint8_t* p = bytes.data();
-  if (p[0] != kMagic[0] || p[1] != kMagic[1] || p[2] != kMagic[2] || p[3] != kMagic[3]) {
-    throw corrupt();
-  }
-  const std::uint16_t version = static_cast<std::uint16_t>(p[4] | (p[5] << 8));
+  if (!std::equal(kMagic, kMagic + sizeof kMagic, bytes.begin())) throw corrupt();
+  const std::uint16_t version = util::ByteReader{bytes, kContext, 4}.u16();
   std::uint32_t quarantine_count = 0;
   if (version == kVersionV1) {
     if (bytes.size() != kV1Size) throw corrupt();
   } else if (version == kVersionV2) {
     if (bytes.size() < kFixedSize + 8) throw corrupt();
-    quarantine_count = get_u32(p + kFixedSize);
+    quarantine_count = util::ByteReader{bytes, kContext, kFixedSize}.u32();
     // Exact-size check against the declared count: a flipped count byte (or
     // a truncated/extended list) can no longer masquerade as valid.
     const std::uint64_t expected =
@@ -104,14 +87,16 @@ DayCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   } else {
     throw corrupt();
   }
-  const std::uint32_t stored = util::unmask_crc32c(get_u32(p + bytes.size() - 4));
-  if (stored != util::crc32c(p, bytes.size() - 4)) throw corrupt();
+  const std::size_t body = bytes.size() - 4;
+  const std::uint32_t stored =
+      util::unmask_crc32c(util::ByteReader{bytes, kContext, body}.u32());
+  if (stored != util::crc32c(bytes.data(), body)) throw corrupt();
 
+  util::ByteReader in{bytes, kContext, 6};
   DayCheckpoint cp;
-  cp.next_day = static_cast<int>(get_u32(p + 6));
-  cp.seed = get_u64(p + 10);
-  cp.records_emitted = get_u64(p + 18);
-  std::size_t offset = 26;
+  cp.next_day = static_cast<int>(in.u32());
+  cp.seed = in.u64();
+  cp.records_emitted = in.u64();
   for (const auto region : geo::kAllRegions) {
     auto& mme = cp.core.mme(region);
     auto& sgsn = cp.core.sgsn(region);
@@ -125,17 +110,13 @@ DayCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
         &sgsn.relocations.failures,  &msc.srvcc.procedures,
         &msc.srvcc.successes,        &msc.srvcc.failures,
         &sgw.bearer_modifications};
-    for (auto* field : fields) {
-      *field = get_u64(p + offset);
-      offset += 8;
-    }
+    for (auto* field : fields) *field = in.u64();
   }
   if (version == kVersionV2) {
+    in.u32();  // the quarantine count, read above
     cp.quarantined_ues.reserve(quarantine_count);
-    offset = kFixedSize + 4;
     for (std::uint32_t i = 0; i < quarantine_count; ++i) {
-      const std::uint32_t ue = get_u32(p + offset);
-      offset += 4;
+      const std::uint32_t ue = in.u32();
       // The set is canonical (sorted, unique) by construction; anything else
       // behind a valid CRC would be an encoder bug — reject it.
       if (!cp.quarantined_ues.empty() && ue <= cp.quarantined_ues.back()) {

@@ -234,13 +234,7 @@ void Simulator::save_checkpoint(const std::string& path) const {
   const std::string tmp = path + ".tmp";
   auto& fs = io::StdioFileSystem::instance();
   try {
-    auto file = fs.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(payload.data(), payload.size()) != payload.size()) {
-      throw io::IoError{"short write (device full?)"};
-    }
-    file->sync();
-    file->close();
-    fs.rename(tmp, path);
+    io::write_file_atomic(fs, path, payload);
   } catch (const io::IoError& error) {
     if (fs.exists(tmp)) fs.remove(tmp);
     throw std::runtime_error{"save_checkpoint: " + std::string{error.what()} + " on " +

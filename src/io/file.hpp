@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -123,5 +124,16 @@ class StdioFileSystem final : public FileSystem {
   /// Process-wide instance.
   static StdioFileSystem& instance();
 };
+
+/// The whole file at `path`. Throws IoError if it ends before the size the
+/// filesystem reported.
+std::vector<std::uint8_t> read_file(FileSystem& fs, const std::string& path);
+
+/// Crash-safe replace: writes `bytes` to `path + ".tmp"`, syncs, closes and
+/// renames it over `path` — a crash leaves the old file or the new one,
+/// never a torn mix. Throws IoError (a short write included); a failed
+/// attempt may leave the tmp file behind for the caller to clean up.
+void write_file_atomic(FileSystem& fs, const std::string& path,
+                       std::span<const std::uint8_t> bytes);
 
 }  // namespace tl::io

@@ -1,12 +1,12 @@
 #include "serve/wal_tailer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 #include "supervise/status.hpp"
 #include "telemetry/scrub.hpp"
+#include "util/bytes.hpp"
 #include "util/crc32c.hpp"
 
 namespace tl::serve {
@@ -23,29 +23,8 @@ constexpr std::size_t kCheckpointOverhead = 8 + 1 + 24 + 8 + 4;
 // v2 ledger: segment count + records/days lost + day range + exact flag.
 constexpr std::size_t kLossLedgerMinBytes = 4 + 8 + 8 + 4 + 4 + 1;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
+using util::put_u32;
+using util::put_u64;
 
 DegradeLevel ladder_for(govern::PressureLevel pressure) noexcept {
   switch (pressure) {
@@ -147,67 +126,58 @@ StreamAggregates::DegradeDecision WalTailer::consult_governor() {
 }
 
 void WalTailer::load_checkpoint(const std::string& path) {
-  const std::uint64_t size = fs_.file_size(path);
-  if (size < kCheckpointOverhead) {
+  const std::vector<std::uint8_t> bytes = io::read_file(fs_, path);
+  if (bytes.size() < kCheckpointOverhead) {
     throw io::IoError{"serve checkpoint truncated: " + path};
   }
-  std::vector<std::uint8_t> bytes(size);
-  {
-    auto file = fs_.open(path, io::OpenMode::kRead);
-    std::size_t have = 0;
-    while (have < bytes.size()) {
-      const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
-      if (n == 0) throw io::IoError{"serve checkpoint short read: " + path};
-      have += n;
-    }
-  }
+  // Every length below is checked against the file size before it is read,
+  // so the reader's own bounds checks never fire on a CRC-valid image.
   const std::size_t body = bytes.size() - 4;
-  const std::uint32_t stored = util::unmask_crc32c(get_u32(bytes.data() + body));
+  const std::uint32_t stored =
+      util::unmask_crc32c(util::ByteReader{bytes, "serve checkpoint", body}.u32());
   if (stored != util::crc32c(bytes.data(), body)) {
     throw io::IoError{"serve checkpoint CRC mismatch: " + path};
   }
+  util::ByteReader in{bytes, "serve checkpoint", sizeof kCheckpointMagic};
+  const std::uint8_t version = in.u8();
   if (std::memcmp(bytes.data(), kCheckpointMagic, sizeof kCheckpointMagic) != 0 ||
-      (bytes[8] != kCheckpointVersion &&
-       bytes[8] != kCheckpointVersionQuarantine)) {
+      (version != kCheckpointVersion && version != kCheckpointVersionQuarantine)) {
     throw io::IoError{"serve checkpoint bad magic/version: " + path};
   }
-  const bool has_ledger = bytes[8] == kCheckpointVersionQuarantine;
+  const bool has_ledger = version == kCheckpointVersionQuarantine;
   telemetry::LogCursor cursor;
-  cursor.segment = get_u32(bytes.data() + 9);
-  cursor.offset = get_u64(bytes.data() + 13);
-  cursor.day = static_cast<std::int32_t>(get_u32(bytes.data() + 21));
-  cursor.records = get_u64(bytes.data() + 25);
-  const std::uint64_t payload_len = get_u64(bytes.data() + 33);
+  cursor.segment = in.u32();
+  cursor.offset = in.u64();
+  cursor.day = static_cast<std::int32_t>(in.u32());
+  cursor.records = in.u64();
+  const std::uint64_t payload_len = in.u64();
   const std::uint64_t fixed_len = body - (kCheckpointOverhead - 4);
-  if (has_ledger ? payload_len + kLossLedgerMinBytes > fixed_len
+  if (has_ledger ? fixed_len < kLossLedgerMinBytes ||
+                       payload_len > fixed_len - kLossLedgerMinBytes
                  : payload_len != fixed_len) {
     throw io::IoError{"serve checkpoint payload length mismatch: " + path};
   }
+  const auto payload = in.take(payload_len);
   std::vector<std::uint32_t> quarantined;
   std::uint64_t records_lost = 0, days_lost = 0;
   bool loss_exact = true;
   int loss_first = -1, loss_last = -1;
   if (has_ledger) {
-    const std::uint8_t* p = bytes.data() + 41 + payload_len;
-    const std::uint32_t count = get_u32(p);
+    const std::uint32_t count = in.u32();
     if (payload_len + kLossLedgerMinBytes + 4ull * count != fixed_len) {
       throw io::IoError{"serve checkpoint loss-ledger length mismatch: " + path};
     }
-    p += 4;
     quarantined.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i, p += 4) {
-      quarantined.push_back(get_u32(p));
-    }
-    records_lost = get_u64(p);
-    days_lost = get_u64(p + 8);
-    loss_first = static_cast<std::int32_t>(get_u32(p + 16));
-    loss_last = static_cast<std::int32_t>(get_u32(p + 20));
-    loss_exact = p[24] != 0;
+    for (std::uint32_t i = 0; i < count; ++i) quarantined.push_back(in.u32());
+    records_lost = in.u64();
+    days_lost = in.u64();
+    loss_first = static_cast<std::int32_t>(in.u32());
+    loss_last = static_cast<std::int32_t>(in.u32());
+    loss_exact = in.u8() != 0;
   }
   StreamAggregates aggs = [&] {
     try {
-      return StreamAggregates::deserialize(
-          std::span<const std::uint8_t>(bytes.data() + 41, payload_len));
+      return StreamAggregates::deserialize(payload);
     } catch (const std::runtime_error& error) {
       throw io::IoError{"serve checkpoint aggregate state invalid (" + path +
                         "): " + error.what()};
@@ -275,16 +245,7 @@ void WalTailer::checkpoint() {
   // tmp + sync + rename: the rename is the commit point. Any failure or
   // crash before it leaves the previous checkpoint untouched (open()
   // sweeps the tmp); after it the new one is complete and CRC-sealed.
-  const std::string tmp = options_.checkpoint_path + ".tmp";
-  {
-    auto file = fs_.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(bytes.data(), bytes.size()) != bytes.size()) {
-      throw io::IoError{"serve checkpoint short write: " + tmp};
-    }
-    file->sync();
-    file->close();
-  }
-  fs_.rename(tmp, options_.checkpoint_path);
+  io::write_file_atomic(fs_, options_.checkpoint_path, bytes);
 
   durable_cursor_ = cursor_;
   have_checkpoint_ = true;
@@ -470,8 +431,7 @@ std::uint64_t WalTailer::retire_segments() {
   std::uint64_t retired = 0;
   for (const std::string& name : fs_.list(options_.wal_directory, "wal-")) {
     std::uint32_t index = 0;
-    if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &index) != 1 ||
-        name != telemetry::RecordLog::segment_name(index)) {
+    if (!telemetry::RecordLog::parse_segment_index(name, index)) {
       continue;  // foreign file under our prefix; leave it alone
     }
     if (index >= durable_cursor_.segment) break;  // sorted ascending
@@ -488,10 +448,7 @@ std::uint64_t WalTailer::retire_segments() {
     for (const std::string& name :
          fs_.list(options_.mirror_directory, "wal-")) {
       std::uint32_t index = 0;
-      if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &index) != 1 ||
-          name != telemetry::RecordLog::segment_name(index)) {
-        continue;
-      }
+      if (!telemetry::RecordLog::parse_segment_index(name, index)) continue;
       if (index >= durable_cursor_.segment) break;
       fs_.remove(options_.mirror_directory + "/" + name);
     }

@@ -9,39 +9,23 @@
 
 #include "obs/scoped_timer.hpp"
 #include "telemetry/scrub.hpp"
+#include "util/bytes.hpp"
 #include "util/crc32c.hpp"
 
 namespace tl::telemetry {
 namespace {
 
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
+
 // Frames larger than this are assumed to be garbage lengths read from a torn
 // header, not real payloads (a full bench-scale day is far smaller).
 constexpr std::uint32_t kMaxFrameLen = 1u << 28;
 
-void put_u8(std::vector<std::uint8_t>& v, std::uint8_t x) { v.push_back(x); }
-void put_u16(std::vector<std::uint8_t>& v, std::uint16_t x) {
-  v.push_back(static_cast<std::uint8_t>(x));
-  v.push_back(static_cast<std::uint8_t>(x >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
+// Day marker payload: day u32, in_day u64, total u64, app_len u32, app state.
+constexpr std::size_t kMarkerFixedSize = 24;
 
 /// Writes `data` in `chunk` slices, treating any short write as a failed
 /// durable write (ENOSPC-style): the commit must not pretend it happened.
@@ -62,15 +46,6 @@ struct VectorSink final : RecordSink {
   std::vector<HandoverRecord> records;
   void consume(const HandoverRecord& record) override { records.push_back(record); }
 };
-
-/// Recovers the segment index from a file name, accepting only names this
-/// module itself would produce (round-trip check).
-bool parse_segment_index(const std::string& name, std::uint32_t& index) {
-  unsigned value = 0;
-  if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &value) != 1) return false;
-  index = static_cast<std::uint32_t>(value);
-  return name == RecordLog::segment_name(index);
-}
 
 }  // namespace
 
@@ -102,6 +77,13 @@ std::string RecordLog::segment_name(std::uint32_t index) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "wal-%05u.tlseg", index);
   return buf;
+}
+
+bool RecordLog::parse_segment_index(const std::string& name, std::uint32_t& index) {
+  unsigned value = 0;
+  if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &value) != 1) return false;
+  index = static_cast<std::uint32_t>(value);
+  return name == segment_name(index);
 }
 
 std::string RecordLog::segment_path(std::uint32_t index) const {
@@ -299,99 +281,55 @@ RecordLog::Scan RecordLog::scan(io::FileSystem& fs, const std::string& directory
   std::uint64_t records_since_marker = 0;
   std::vector<HandoverRecord> pending;   // decoded records of the open day
 
-  bool torn = false;
-  for (std::size_t si = 0; si < s.segments.size() && !torn; ++si) {
-    const std::string path = directory + "/" + s.segments[si];
-    s.sizes.push_back(fs.file_size(path));
+  for (std::size_t si = 0; si < s.segments.size(); ++si) {
     const std::uint32_t seg_index = s.base + static_cast<std::uint32_t>(si);
     // The chain must be contiguous wal-<base>, wal-<base+1>, ...; anything
     // else (a gap, a stray file) ends the valid prefix.
-    if (s.segments[si] != segment_name(seg_index)) {
-      torn = true;
-      break;
-    }
-    auto file = fs.open(path, io::OpenMode::kRead);
-    const std::uint64_t size = s.sizes[si];
+    if (s.segments[si] != segment_name(seg_index)) break;
+    const std::string path = directory + "/" + s.segments[si];
+    SegmentReader reader{fs, path, seg_index};
+    s.sizes.push_back(reader.size());
 
-    std::uint8_t header[kSegmentHeaderSize];
-    if (file->read(header, sizeof header) != sizeof header ||
-        std::memcmp(header, kMagic, sizeof kMagic) != 0 ||
-        get_u32(header + 8) != seg_index ||
-        util::unmask_crc32c(get_u32(header + 12)) != util::crc32c(header, 12)) {
-      torn = true;  // torn/foreign header: this and all later segments drop
-      break;
-    }
-    if (si == 0) s.first_header_valid = true;
-
-    std::uint64_t offset = kSegmentHeaderSize;
-    std::vector<std::uint8_t> buf;
-    while (offset < size) {
-      std::uint8_t fh[kFrameHeaderSize];
-      if (offset + kFrameHeaderSize > size ||
-          file->read(fh, sizeof fh) != sizeof fh) {
-        torn = true;
-        break;
-      }
-      const std::uint32_t len = get_u32(fh);
-      const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-      const std::uint8_t type = fh[8];
-      if (len > kMaxFrameLen || offset + kFrameHeaderSize + len > size) {
-        torn = true;
-        break;
-      }
-      buf.resize(len);
-      if (file->read(buf.data(), len) != len) {
-        torn = true;
-        break;
-      }
-      std::uint32_t crc = util::crc32c(&type, 1);
-      crc = util::crc32c(buf.data(), len, crc);
-      if (crc != stored_crc) {
-        torn = true;
-        break;
-      }
-      if (type == kRecordFrame && len == kRecordEncodedSize) {
+    const SegmentStep* step = &reader.next();
+    for (; step->is_frame(); step = &reader.next()) {
+      if (step->kind == SegmentStep::kRecord) {
         ++records_seen;
         ++records_since_marker;
-        if (sink != nullptr) pending.push_back(decode_record(buf));
-      } else if (type == kDayMarkerFrame && len >= 24 &&
-                 len == 24 + static_cast<std::uint64_t>(get_u32(buf.data() + 20))) {
-        const int day = static_cast<int>(get_u32(buf.data()));
-        const std::uint64_t in_day = get_u64(buf.data() + 4);
-        const std::uint64_t total = get_u64(buf.data() + 12);
-        if (in_day != records_since_marker ||
-            (have_total && total != records_seen)) {
-          // A CRC-valid marker whose counts disagree with the frames on disk
-          // means a writer bug or tampering, not a torn tail: fail loudly
-          // rather than silently serving a record stream of unknown shape.
-          throw io::IoError{"record log corrupt: marker record counts disagree "
-                            "with the frames preceding it (" +
-                            path + ")"};
-        }
-        if (!have_total) {
-          // First marker of a retention-pruned chain: adopt the cumulative
-          // count (the frames it counts were deleted); verify from here on.
-          records_seen = total;
-          have_total = true;
-        }
-        s.any_marker = true;
-        s.marker_seg = si;
-        s.marker_offset = offset + kFrameHeaderSize + len;
-        s.last_day = day;
-        s.committed_records = total;
-        s.app_state.assign(buf.begin() + 24, buf.end());
-        records_since_marker = 0;
-        if (sink != nullptr) {
-          for (const auto& r : pending) sink->consume(r);
-          pending.clear();
-          sink->on_day_end(day);
-        }
-      } else {
-        torn = true;  // unknown frame type or malformed marker structure
-        break;
+        if (sink != nullptr) pending.push_back(step->record);
+        continue;
       }
-      offset += kFrameHeaderSize + len;
+      if (step->in_day != records_since_marker ||
+          (have_total && step->total != records_seen)) {
+        // A CRC-valid marker whose counts disagree with the frames on disk
+        // means a writer bug or tampering, not a torn tail: fail loudly
+        // rather than silently serving a record stream of unknown shape.
+        throw io::IoError{"record log corrupt: marker record counts disagree "
+                          "with the frames preceding it (" +
+                          path + ")"};
+      }
+      if (!have_total) {
+        // First marker of a retention-pruned chain: adopt the cumulative
+        // count (the frames it counts were deleted); verify from here on.
+        records_seen = step->total;
+        have_total = true;
+      }
+      s.any_marker = true;
+      s.marker_seg = si;
+      s.marker_offset = reader.offset();
+      s.last_day = step->day;
+      s.committed_records = step->total;
+      s.app_state.assign(step->app_state.begin(), step->app_state.end());
+      records_since_marker = 0;
+      if (sink != nullptr) {
+        for (const auto& r : pending) sink->consume(r);
+        pending.clear();
+        sink->on_day_end(step->day);
+      }
     }
+    if (si == 0) s.first_header_valid = reader.past_header();
+    // Anything but a clean end (torn header, truncated frame, CRC mismatch,
+    // foreign frame) drops this and every later segment.
+    if (step->kind != SegmentStep::kEnd) break;
   }
   s.dropped_records = records_since_marker;
   return s;
@@ -556,176 +494,120 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
       continue;
     }
     const std::string path = directory + "/" + segment_name(seg);
+    // Successor first, size second: a segment already sealed when its size
+    // is sampled has its final size, so bytes missing from it are damage.
+    // Sampled the other way round, a writer could finish the day and roll
+    // in between, and a frame still in flight would read as torn.
+    const bool sealed = fs.exists(directory + "/" + segment_name(seg + 1));
     if (!fs.exists(path)) {
       if (cursor.fresh()) return result;  // chain raced away; nothing to do
       throw io::IoError{"record log tail: cursor segment missing: " + path};
     }
-    const std::uint64_t size = fs.file_size(path);
-    auto file = fs.open(path, io::OpenMode::kRead);
-    if (pos == 0) {
-      // First entry into this segment: validate its header before trusting
-      // any frame in it.
-      if (size < kSegmentHeaderSize) {
-        // Shorter than a header: the writer is mid-creation — unless a
-        // successor segment exists. Segments are header-first and rolls are
-        // commit-aligned, so a short segment mid-chain can never grow (a
-        // crash at segment creation under ENOSPC leaves exactly this);
-        // report it torn so the reader does not wait on it forever.
-        result.state = fs.exists(directory + "/" + segment_name(seg + 1))
-                           ? TailState::kTorn
-                           : TailState::kPending;
-        return result;
-      }
-      std::uint8_t header[kSegmentHeaderSize];
-      if (file->read(header, sizeof header) != sizeof header ||
-          std::memcmp(header, kMagic, sizeof kMagic) != 0 ||
-          get_u32(header + 8) != seg ||
-          util::unmask_crc32c(get_u32(header + 12)) != util::crc32c(header, 12)) {
-        result.state = TailState::kTorn;
-        return result;
-      }
-      pos = kSegmentHeaderSize;
-    } else {
-      if (pos > size) {
-        // A crash rolled back bytes the writer had not fsynced past a point
-        // we read optimistically. The deterministic writer will regenerate
-        // the identical bytes; wait for the tail to regrow.
-        result.state = TailState::kPending;
-        return result;
-      }
-      file->seek(pos);
+    SegmentReader reader{fs, path, seg, pos};
+    if (pos > reader.size()) {
+      // A crash rolled back bytes the writer had not fsynced past a point
+      // we read optimistically. The deterministic writer will regenerate
+      // the identical bytes; wait for the tail to regrow.
+      result.state = TailState::kPending;
+      return result;
     }
 
-    std::uint64_t offset = pos;
     std::vector<HandoverRecord> pending;  // records of the not-yet-marked day
-    std::vector<std::uint8_t> buf;
-    while (offset < size) {
-      // A frame running past end-of-file is a write still in flight — but
-      // only in the newest segment. Sealed segments never grow (rolls are
-      // commit-aligned), so the same truncation mid-chain is damage (e.g.
-      // rot in a length field) that waiting can never heal.
-      const auto truncated = [&] {
-        return fs.exists(directory + "/" + segment_name(seg + 1))
-                   ? TailState::kTorn
-                   : TailState::kPending;
-      };
-      std::uint8_t fh[kFrameHeaderSize];
-      if (offset + kFrameHeaderSize > size ||
-          file->read(fh, sizeof fh) != sizeof fh) {
-        result.state = truncated();
+    const SegmentStep* step = &reader.next();
+    for (; step->is_frame(); step = &reader.next()) {
+      if (step->kind == SegmentStep::kRecord) {
+        pending.push_back(step->record);
+        continue;
+      }
+      const int day = step->day;
+      const std::uint64_t in_day = step->in_day;
+      const std::uint64_t total = step->total;
+      if (day <= cursor.day) {
+        throw io::IoError{"record log corrupt: non-monotonic day marker in " +
+                          path};
+      }
+      if (in_day != pending.size() ||
+          (!pending_adopt && have_total && total != cursor.records + in_day)) {
+        throw io::IoError{"record log corrupt: marker record counts disagree "
+                          "with the frames preceding it (" +
+                          path + ")"};
+      }
+      if (pending_adopt && have_total && total < cursor.records + in_day) {
+        // Even across a hole the chain can only have grown: a total below
+        // what the cursor already consumed is corruption, not loss.
+        throw io::IoError{"record log corrupt: marker total ran backwards "
+                          "across a quarantined range (" +
+                          path + ")"};
+      }
+      if (result.days_delivered == max_days) {
+        result.state = TailState::kMore;  // committed data remains; re-poll
         return result;
       }
-      const std::uint32_t len = get_u32(fh);
-      const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-      const std::uint8_t type = fh[8];
-      if (len > kMaxFrameLen) {
-        result.state = TailState::kTorn;  // garbage length can never heal
-        return result;
-      }
-      if (offset + kFrameHeaderSize + len > size) {
-        result.state = truncated();
-        return result;
-      }
-      buf.resize(len);
-      if (file->read(buf.data(), len) != len) {
-        result.state = truncated();
-        return result;
-      }
-      std::uint32_t crc = util::crc32c(&type, 1);
-      crc = util::crc32c(buf.data(), len, crc);
-      if (crc != stored_crc) {
-        // A complete frame with a bad CRC is not an in-flight write — the
-        // writer lays every byte down in order, so this can only be a torn
-        // tail from a crash (or rot). Never deliverable.
-        result.state = TailState::kTorn;
-        return result;
-      }
-      if (type == kRecordFrame && len == kRecordEncodedSize) {
-        pending.push_back(decode_record(buf));
-      } else if (type == kDayMarkerFrame && len >= 24 &&
-                 len == 24 + static_cast<std::uint64_t>(get_u32(buf.data() + 20))) {
-        const int day = static_cast<int>(get_u32(buf.data()));
-        const std::uint64_t in_day = get_u64(buf.data() + 4);
-        const std::uint64_t total = get_u64(buf.data() + 12);
-        if (day <= cursor.day) {
-          throw io::IoError{"record log corrupt: non-monotonic day marker in " +
-                            path};
+      // Commit point for the reader: deliver the whole day, then advance
+      // the cursor past the marker — records and cursor move in lockstep,
+      // so an exception anywhere above leaves both at the previous day.
+      for (const HandoverRecord& r : pending) sink.consume(r);
+      sink.on_day_end(day);
+      pending.clear();
+      if (pending_adopt) {
+        // First surviving marker past a quarantined hole: its cumulative
+        // total quantifies exactly what the hole swallowed. Committed
+        // together with the cursor advance, so a re-poll that skips the
+        // same hole never double-counts.
+        if (have_total) {
+          result.records_quarantined += total - in_day - cursor.records;
+        } else {
+          result.quarantine_exact = false;  // pruned-chain base anchor gone
         }
-        if (in_day != pending.size() ||
-            (!pending_adopt && have_total && total != cursor.records + in_day)) {
-          throw io::IoError{"record log corrupt: marker record counts disagree "
-                            "with the frames preceding it (" +
-                            path + ")"};
-        }
-        if (pending_adopt && have_total && total < cursor.records + in_day) {
-          // Even across a hole the chain can only have grown: a total below
-          // what the cursor already consumed is corruption, not loss.
-          throw io::IoError{"record log corrupt: marker total ran backwards "
-                            "across a quarantined range (" +
-                            path + ")"};
-        }
-        if (result.days_delivered == max_days) {
-          result.state = TailState::kMore;  // committed data remains; re-poll
-          return result;
-        }
-        // Commit point for the reader: deliver the whole day, then advance
-        // the cursor past the marker — records and cursor move in lockstep,
-        // so an exception anywhere above leaves both at the previous day.
-        for (const HandoverRecord& r : pending) sink.consume(r);
-        sink.on_day_end(day);
-        pending.clear();
-        if (pending_adopt) {
-          // First surviving marker past a quarantined hole: its cumulative
-          // total quantifies exactly what the hole swallowed. Committed
-          // together with the cursor advance, so a re-poll that skips the
-          // same hole never double-counts.
-          if (have_total) {
-            result.records_quarantined += total - in_day - cursor.records;
-          } else {
-            result.quarantine_exact = false;  // pruned-chain base anchor gone
+        if (cursor.day >= 0) {
+          result.days_quarantined +=
+              static_cast<std::uint64_t>(day - cursor.day - 1);
+          if (result.quarantine_first_day < 0) {
+            result.quarantine_first_day = cursor.day + 1;
           }
-          if (cursor.day >= 0) {
-            result.days_quarantined +=
-                static_cast<std::uint64_t>(day - cursor.day - 1);
-            if (result.quarantine_first_day < 0) {
-              result.quarantine_first_day = cursor.day + 1;
-            }
-            result.quarantine_last_day = day - 1;
-          } else {
-            result.quarantine_exact = false;  // first lost day unknowable
-          }
-          pending_adopt = false;
+          result.quarantine_last_day = day - 1;
+        } else {
+          result.quarantine_exact = false;  // first lost day unknowable
         }
-        cursor.day = day;
-        cursor.records = total;
-        cursor.segment = seg;
-        cursor.offset = offset + kFrameHeaderSize + len;
-        have_total = true;
-        ++result.days_delivered;
-        result.records_delivered += in_day;
-        result.last_app_state.assign(buf.begin() + 24, buf.end());
-      } else {
-        result.state = TailState::kTorn;  // foreign frame type / bad marker
-        return result;
+        pending_adopt = false;
       }
-      offset += kFrameHeaderSize + len;
+      cursor.day = day;
+      cursor.records = total;
+      cursor.segment = seg;
+      cursor.offset = reader.offset();
+      have_total = true;
+      ++result.days_delivered;
+      result.records_delivered += in_day;
+      result.last_app_state.assign(step->app_state.begin(),
+                                   step->app_state.end());
     }
 
+    if (step->kind != SegmentStep::kEnd) {
+      // Bytes past the end of the data (a short segment, a frame running
+      // past end-of-file) are a write still in flight — but only in the
+      // newest segment. Sealed segments never grow (rolls are commit-
+      // aligned), so the same truncation mid-chain is damage (a crash at
+      // segment creation under ENOSPC, rot in a length field) that waiting
+      // can never heal. Everything else (bad header, garbage length, a
+      // complete frame with a bad CRC, a foreign frame) can only be a torn
+      // tail from a crash, or rot: never deliverable.
+      result.state = step->kind == SegmentStep::kTruncated && !sealed
+                         ? TailState::kPending
+                         : TailState::kTorn;
+      return result;
+    }
     if (!pending.empty()) {
       // Record frames with no marker at the end of the segment: an in-flight
       // (or crashed) commit. Days never span segments — rolls are
-      // commit-aligned — so a successor segment here would be structural
+      // commit-aligned — so in a sealed segment this is structural
       // corruption, not a pending write.
-      result.state = fs.exists(directory + "/" + segment_name(seg + 1))
-                         ? TailState::kTorn
-                         : TailState::kPending;
+      result.state = sealed ? TailState::kTorn : TailState::kPending;
       return result;
     }
-    const std::string next = directory + "/" + segment_name(seg + 1);
-    if (!fs.exists(next)) {
-      // Caught up with the writer. A clean catch-up that skipped certified
-      // holes is reported as such: complete where it counts, degraded where
-      // it was certified to be.
+    if (!sealed) {
+      // Caught up with the writer (as of the size sample). A clean catch-up
+      // that skipped certified holes is reported as such: complete where it
+      // counts, degraded where it was certified to be.
       if (result.quarantine_skipped) result.state = TailState::kQuarantined;
       return result;
     }
@@ -761,27 +643,105 @@ HandoverRecord RecordLog::decode_record(std::span<const std::uint8_t> payload) {
   if (payload.size() != kRecordEncodedSize) {
     throw std::runtime_error{"RecordLog::decode_record: bad payload size"};
   }
-  const std::uint8_t* p = payload.data();
+  util::ByteReader in{payload, "RecordLog::decode_record"};
   HandoverRecord r;
-  r.timestamp = static_cast<util::TimestampMs>(get_u64(p));
-  r.anon_user_id = get_u64(p + 8);
-  r.source_sector = get_u32(p + 16);
-  r.target_sector = get_u32(p + 20);
-  r.duration_ms = std::bit_cast<float>(get_u32(p + 24));
-  r.postcode = get_u32(p + 28);
-  r.district = get_u32(p + 32);
-  r.cause = get_u16(p + 36);
-  r.manufacturer = get_u16(p + 38);
-  r.success = p[40] != 0;
-  r.source_rat = static_cast<topology::ObservedRat>(p[41]);
-  r.target_rat = static_cast<topology::ObservedRat>(p[42]);
-  r.device_type = static_cast<devices::DeviceType>(p[43]);
-  r.area = static_cast<geo::AreaType>(p[44]);
-  r.region = static_cast<geo::Region>(p[45]);
-  r.vendor = static_cast<topology::Vendor>(p[46]);
-  r.srvcc = p[47] != 0;
-  r.attempt = p[48];
+  r.timestamp = static_cast<util::TimestampMs>(in.u64());
+  r.anon_user_id = in.u64();
+  r.source_sector = in.u32();
+  r.target_sector = in.u32();
+  r.duration_ms = std::bit_cast<float>(in.u32());
+  r.postcode = in.u32();
+  r.district = in.u32();
+  r.cause = in.u16();
+  r.manufacturer = in.u16();
+  r.success = in.u8() != 0;
+  r.source_rat = static_cast<topology::ObservedRat>(in.u8());
+  r.target_rat = static_cast<topology::ObservedRat>(in.u8());
+  r.device_type = static_cast<devices::DeviceType>(in.u8());
+  r.area = static_cast<geo::AreaType>(in.u8());
+  r.region = static_cast<geo::Region>(in.u8());
+  r.vendor = static_cast<topology::Vendor>(in.u8());
+  r.srvcc = in.u8() != 0;
+  r.attempt = in.u8();
   return r;
+}
+
+// --- segment reader ------------------------------------------------------------
+
+SegmentReader::SegmentReader(io::FileSystem& fs, const std::string& path,
+                             std::uint32_t index, std::uint64_t offset)
+    : index_(index), size_(fs.file_size(path)), offset_(offset) {
+  file_ = fs.open(path, io::OpenMode::kRead);
+  if (offset_ > 0 && offset_ <= size_) file_->seek(offset_);
+}
+
+const SegmentStep& SegmentReader::stop(SegmentStep::Kind kind,
+                                       std::uint64_t length) {
+  stopped_ = true;
+  step_.kind = kind;
+  step_.offset = offset_;
+  step_.length = length;
+  step_.app_state = {};
+  return step_;
+}
+
+const SegmentStep& SegmentReader::next() {
+  if (stopped_) return step_;
+  if (offset_ == 0) {
+    std::uint8_t header[RecordLog::kSegmentHeaderSize];
+    if (size_ < sizeof header || file_->read(header, sizeof header) != sizeof header) {
+      return stop(SegmentStep::kTruncated, size_);
+    }
+    util::ByteReader in{header, "record log segment header", sizeof RecordLog::kMagic};
+    if (std::memcmp(header, RecordLog::kMagic, sizeof RecordLog::kMagic) != 0 ||
+        in.u32() != index_ || util::unmask_crc32c(in.u32()) != util::crc32c(header, 12)) {
+      return stop(SegmentStep::kBadHeader, sizeof header);
+    }
+    offset_ = sizeof header;
+  }
+  if (offset_ == size_) return stop(SegmentStep::kEnd, 0);
+  const std::uint64_t rest = offset_ < size_ ? size_ - offset_ : 0;
+  std::uint8_t fh[RecordLog::kFrameHeaderSize];
+  if (rest < sizeof fh || file_->read(fh, sizeof fh) != sizeof fh) {
+    return stop(SegmentStep::kTruncated, rest);
+  }
+  util::ByteReader in{fh, "record log frame header"};
+  const std::uint32_t len = in.u32();
+  const std::uint32_t stored_crc = util::unmask_crc32c(in.u32());
+  const std::uint8_t type = in.u8();
+  if (len > kMaxFrameLen) return stop(SegmentStep::kBadLength, sizeof fh);
+  const std::uint64_t frame = sizeof fh + static_cast<std::uint64_t>(len);
+  // Size the buffer only for bytes the file really has: a forged length
+  // can stop the reader, never make it allocate.
+  if (frame > rest) return stop(SegmentStep::kTruncated, rest);
+  payload_.resize(len);
+  if (file_->read(payload_.data(), len) != len) {
+    return stop(SegmentStep::kTruncated, rest);
+  }
+  std::uint32_t crc = util::crc32c(&type, 1);
+  crc = util::crc32c(payload_.data(), len, crc);
+  if (crc != stored_crc) return stop(SegmentStep::kBadCrc, frame);
+
+  if (type == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
+    step_.kind = SegmentStep::kRecord;
+    step_.record = RecordLog::decode_record(payload_);
+  } else if (type == RecordLog::kDayMarkerFrame && len >= kMarkerFixedSize) {
+    util::ByteReader marker{payload_, "record log day marker"};
+    step_.day = static_cast<int>(marker.u32());
+    step_.in_day = marker.u64();
+    step_.total = marker.u64();
+    if (marker.u32() != len - kMarkerFixedSize) {
+      return stop(SegmentStep::kBadStructure, frame);
+    }
+    step_.kind = SegmentStep::kMarker;
+    step_.app_state = marker.take(marker.remaining());
+  } else {
+    return stop(SegmentStep::kBadStructure, frame);
+  }
+  step_.offset = offset_;
+  step_.length = frame;
+  offset_ += frame;
+  return step_;
 }
 
 }  // namespace tl::telemetry

@@ -26,6 +26,9 @@
 //    pending tail bytes (an in-flight commit that may yet complete) apart
 //    from torn ones (provably invalid; only the writer's recovery may
 //    truncate them). The serve-mode WalTailer is built on this.
+//  - SegmentReader: the one decoder of the segment format. Recovery, replay,
+//    tail-follow and the scrub audit (telemetry/scrub) all read frames
+//    through it and keep only their own policy for what a stop means.
 //
 // Retention: the chain may start at any index (segments before a durable
 // consumer cursor can be deleted); recovery and replay accept a contiguous
@@ -237,6 +240,9 @@ class RecordLog {
   /// Throws std::runtime_error on a malformed payload.
   static HandoverRecord decode_record(std::span<const std::uint8_t> payload);
   static std::string segment_name(std::uint32_t index);
+  /// Inverse of segment_name: false for any name segment_name would not
+  /// produce (foreign files under the "wal-" prefix).
+  static bool parse_segment_index(const std::string& name, std::uint32_t& index);
 
  private:
   struct Scan;
@@ -285,6 +291,72 @@ class RecordLog {
   obs::Counter obs_dropped_bytes_;
   obs::Counter obs_dropped_records_;
   obs::Histogram obs_commit_seconds_;
+};
+
+/// One step of a SegmentReader: the next frame, decoded, or the reason the
+/// segment cannot be read past `offset`.
+struct SegmentStep {
+  enum Kind : std::uint8_t {
+    kRecord,        ///< record frame; `record` holds it
+    kMarker,        ///< day marker; day/in_day/total/app_state hold it
+    kEnd,           ///< end of data, exactly at a frame boundary
+    kTruncated,     ///< header or frame runs past the end of data
+    kBadHeader,     ///< segment header magic, index or CRC invalid
+    kBadLength,     ///< frame length no real payload can have
+    kBadCrc,        ///< complete frame whose CRC32C mismatches
+    kBadStructure,  ///< unknown frame type or malformed record/marker
+  };
+  Kind kind = kEnd;
+  std::uint64_t offset = 0;  ///< where the frame (or the unreadable bytes) start
+  /// Frames: bytes including the frame header. Stops: the suspect range
+  /// (the rest of the data when truncated, the frame header for a bad
+  /// length, the whole frame for a bad CRC or structure).
+  std::uint64_t length = 0;
+  HandoverRecord record;
+  int day = -1;
+  std::uint64_t in_day = 0;  ///< records the marker's day committed
+  std::uint64_t total = 0;   ///< cumulative records through that day
+  /// Embedded application state; valid until the next SegmentReader::next().
+  std::span<const std::uint8_t> app_state;
+
+  bool is_frame() const noexcept { return kind == kRecord || kind == kMarker; }
+};
+
+/// The one decoder of the WAL segment format, shared by recovery (scan and
+/// replay), tail-follow and the scrub audit. Streams one frame per next():
+/// a 9-byte frame header read, then a payload read — never the whole
+/// segment. Callers keep their own policy (what a stop means, marker
+/// bookkeeping); the reader only says what the bytes are.
+class SegmentReader {
+ public:
+  /// Opens segment `index` at `path` and samples its size once: bytes
+  /// appended later are not seen. At `offset` 0 the first next() validates
+  /// the segment header; a later offset (a frame boundary from an earlier
+  /// read) resumes there without re-reading the header.
+  SegmentReader(io::FileSystem& fs, const std::string& path,
+                std::uint32_t index, std::uint64_t offset = 0);
+
+  /// The next frame, or the stop that ends the segment (repeated on every
+  /// later call).
+  const SegmentStep& next();
+
+  std::uint64_t size() const noexcept { return size_; }
+  /// Just past the last frame returned (the header, before any frame).
+  std::uint64_t offset() const noexcept { return offset_; }
+  bool past_header() const noexcept {
+    return offset_ >= RecordLog::kSegmentHeaderSize;
+  }
+
+ private:
+  const SegmentStep& stop(SegmentStep::Kind kind, std::uint64_t length);
+
+  std::unique_ptr<io::File> file_;
+  std::uint32_t index_;
+  std::uint64_t size_;
+  std::uint64_t offset_;
+  bool stopped_ = false;
+  std::vector<std::uint8_t> payload_;
+  SegmentStep step_;
 };
 
 /// RecordSink adapter: buffers each simulated day into a RecordLog and

@@ -1,47 +1,11 @@
 #include "telemetry/scrub.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "util/crc32c.hpp"
 
 namespace tl::telemetry {
 namespace {
-
-// Mirrors record_log.cpp's garbage-length guard: a frame longer than this is
-// a rotted length field, not a payload.
-constexpr std::uint32_t kMaxFrameLen = 1u << 28;
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-bool parse_segment_index(const std::string& name, std::uint32_t& index) {
-  unsigned value = 0;
-  if (std::sscanf(name.c_str(), "wal-%9u.tlseg", &value) != 1) return false;
-  index = static_cast<std::uint32_t>(value);
-  return name == RecordLog::segment_name(index);
-}
-
-std::vector<std::uint8_t> read_file(io::FileSystem& fs, const std::string& path) {
-  const std::uint64_t size = fs.file_size(path);
-  std::vector<std::uint8_t> bytes(size);
-  auto file = fs.open(path, io::OpenMode::kRead);
-  std::size_t have = 0;
-  while (have < bytes.size()) {
-    const std::size_t n = file->read(bytes.data() + have, bytes.size() - have);
-    if (n == 0) throw io::IoError{"scrub: short read of " + path};
-    have += n;
-  }
-  return bytes;
-}
 
 std::string seg_path(const std::string& dir, std::uint32_t index) {
   return dir + "/" + RecordLog::segment_name(index);
@@ -105,89 +69,59 @@ SegmentAudit audit_segment(io::FileSystem& fs, const std::string& path,
   a.index = expect_index;
   if (!fs.exists(path)) return a;
   a.exists = true;
-  const std::vector<std::uint8_t> bytes = read_file(fs, path);
-  a.size = bytes.size();
+  SegmentReader reader{fs, path, expect_index};
+  a.size = reader.size();
 
-  if (bytes.size() < RecordLog::kSegmentHeaderSize ||
-      std::memcmp(bytes.data(), RecordLog::kMagic, sizeof RecordLog::kMagic) != 0 ||
-      get_u32(bytes.data() + 8) != expect_index ||
-      util::unmask_crc32c(get_u32(bytes.data() + 12)) !=
-          util::crc32c(bytes.data(), 12)) {
-    return a;  // header_valid stays false; nothing after it is trustworthy
-  }
-  a.header_valid = true;
-  a.valid_bytes = RecordLog::kSegmentHeaderSize;
-
-  std::uint64_t offset = RecordLog::kSegmentHeaderSize;
   std::uint64_t records_since_marker = 0;
-  auto fail = [&](DefectClass defect, std::uint64_t at, std::uint64_t len) {
+  auto fail = [&](DefectClass defect, const SegmentStep& step) {
     a.has_defect = true;
     a.defect = defect;
-    a.defect_offset = at;
-    a.defect_length = len;
+    a.defect_offset = step.offset;
+    a.defect_length = step.length;
   };
-  while (offset < bytes.size() && !a.has_defect) {
-    if (offset + RecordLog::kFrameHeaderSize > bytes.size()) {
-      fail(DefectClass::kTruncatedFrame, offset, bytes.size() - offset);
-      break;
-    }
-    const std::uint8_t* fh = bytes.data() + offset;
-    const std::uint32_t len = get_u32(fh);
-    const std::uint32_t stored_crc = util::unmask_crc32c(get_u32(fh + 4));
-    const std::uint8_t type = fh[8];
-    if (len > kMaxFrameLen) {
-      fail(DefectClass::kBadFrameStructure, offset, RecordLog::kFrameHeaderSize);
-      break;
-    }
-    if (offset + RecordLog::kFrameHeaderSize + len > bytes.size()) {
-      fail(DefectClass::kTruncatedFrame, offset, bytes.size() - offset);
-      break;
-    }
-    const std::uint8_t* payload = fh + RecordLog::kFrameHeaderSize;
-    std::uint32_t crc = util::crc32c(&type, 1);
-    crc = util::crc32c(payload, len, crc);
-    if (crc != stored_crc) {
-      fail(DefectClass::kBadFrameCrc, offset, RecordLog::kFrameHeaderSize + len);
-      break;
+  for (;;) {
+    const SegmentStep& step = reader.next();
+    // A bad header leaves header_valid false: nothing after it is
+    // trustworthy.
+    if (!reader.past_header()) return a;
+    a.header_valid = true;
+    a.valid_bytes = step.offset;  // everything before this step verified
+    if (!step.is_frame()) {
+      if (step.kind != SegmentStep::kEnd) {
+        fail(step.kind == SegmentStep::kTruncated ? DefectClass::kTruncatedFrame
+             : step.kind == SegmentStep::kBadCrc  ? DefectClass::kBadFrameCrc
+                                                  : DefectClass::kBadFrameStructure,
+             step);
+      }
+      return a;
     }
     ++a.frames;
     a.ends_at_marker = false;
-    if (type == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
+    if (step.kind == SegmentStep::kRecord) {
       ++a.records;
       ++records_since_marker;
-    } else if (type == RecordLog::kDayMarkerFrame && len >= 24 &&
-               len == 24 + static_cast<std::uint64_t>(get_u32(payload + 20))) {
-      const int day = static_cast<int>(get_u32(payload));
-      const std::uint64_t in_day = get_u64(payload + 4);
-      const std::uint64_t total = get_u64(payload + 12);
-      // Within one segment the marker arithmetic is fully checkable: each
-      // day's count must match the frames since the previous marker, each
-      // total must advance by exactly that count, and days must ascend.
-      if (in_day != records_since_marker ||
-          (a.markers > 0 && (total != a.last_total + in_day || day <= a.last_day))) {
-        fail(DefectClass::kMarkerMismatch, offset,
-             RecordLog::kFrameHeaderSize + len);
-        break;
-      }
-      if (a.markers == 0) {
-        a.first_day = day;
-        a.first_in_day = in_day;
-        a.first_total = total;
-      }
-      ++a.markers;
-      a.last_day = day;
-      a.last_total = total;
-      a.ends_at_marker = true;
-      records_since_marker = 0;
-    } else {
-      fail(DefectClass::kBadFrameStructure, offset,
-           RecordLog::kFrameHeaderSize + len);
-      break;
+      continue;
     }
-    offset += RecordLog::kFrameHeaderSize + len;
-    a.valid_bytes = offset;
+    // Within one segment the marker arithmetic is fully checkable: each
+    // day's count must match the frames since the previous marker, each
+    // total must advance by exactly that count, and days must ascend.
+    if (step.in_day != records_since_marker ||
+        (a.markers > 0 &&
+         (step.total != a.last_total + step.in_day || step.day <= a.last_day))) {
+      fail(DefectClass::kMarkerMismatch, step);
+      return a;
+    }
+    if (a.markers == 0) {
+      a.first_day = step.day;
+      a.first_in_day = step.in_day;
+      a.first_total = step.total;
+    }
+    ++a.markers;
+    a.last_day = step.day;
+    a.last_total = step.total;
+    a.ends_at_marker = true;
+    records_since_marker = 0;
   }
-  return a;
 }
 
 LogScrubber::LogScrubber(io::FileSystem& fs, ScrubOptions options)
@@ -203,7 +137,7 @@ ScrubReport LogScrubber::run() {
   std::uint32_t lo = UINT32_MAX, hi = 0;
   for (const std::string& name : names) {
     std::uint32_t index = 0;
-    if (!parse_segment_index(name, index)) continue;  // foreign file
+    if (!RecordLog::parse_segment_index(name, index)) continue;  // foreign file
     lo = std::min(lo, index);
     hi = std::max(hi, index);
   }
@@ -496,24 +430,26 @@ IntegrityReport LogIntegrity::check_and_repair() {
 }
 
 std::uint32_t file_crc32c(io::FileSystem& fs, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = read_file(fs, path);
-  return util::crc32c(bytes.data(), bytes.size());
+  // Streamed: a segment is up to max_segment_bytes, never held whole.
+  std::uint64_t left = fs.file_size(path);
+  auto file = fs.open(path, io::OpenMode::kRead);
+  std::vector<std::uint8_t> chunk(std::min<std::uint64_t>(left, 64 * 1024));
+  util::Crc32c crc;
+  while (left > 0) {
+    const std::size_t n = file->read(
+        chunk.data(), static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size())));
+    if (n == 0) throw io::IoError{"scrub: short read of " + path};
+    crc.update(chunk.data(), n);
+    left -= n;
+  }
+  return crc.value();
 }
 
 std::uint32_t copy_file_atomic(io::FileSystem& fs, const std::string& src,
                                const std::string& dst) {
-  const std::vector<std::uint8_t> bytes = read_file(fs, src);
+  const std::vector<std::uint8_t> bytes = io::read_file(fs, src);
   const std::uint32_t want = util::crc32c(bytes.data(), bytes.size());
-  const std::string tmp = dst + ".tmp";
-  {
-    auto file = fs.open(tmp, io::OpenMode::kTruncate);
-    if (file->write(bytes.data(), bytes.size()) != bytes.size()) {
-      throw io::IoError{"segment copy short write: " + tmp};
-    }
-    file->sync();
-    file->close();
-  }
-  fs.rename(tmp, dst);
+  io::write_file_atomic(fs, dst, bytes);
   // Trust nothing: the repair is only a repair if the bytes now on disk
   // hash back to the source. (Also catches a transient read fault having
   // forged the source bytes we copied.)

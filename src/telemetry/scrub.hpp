@@ -8,7 +8,8 @@
 // fsynced, and possibly sealed months ago. Three layers:
 //
 //  - Detection (LogScrubber): walks every segment of a chain (and its
-//    mirror) frame by frame, re-verifying each CRC32C, the marker
+//    mirror) frame by frame through SegmentReader, streaming rather than
+//    loading each segment, re-verifying each CRC32C, the marker
 //    bookkeeping against the chain's cumulative totals, and the chain's
 //    structural invariants (contiguous indices, commit-aligned seals).
 //    Produces a ScrubReport of latent defects by class and byte range.

@@ -5,10 +5,10 @@
 
 #include <algorithm>
 
+#include "analysis/pingpong.hpp"
 #include "core/control_plane.hpp"
 #include "core/qos_model.hpp"
 #include "telemetry/control_events.hpp"
-#include "telemetry/pingpong.hpp"
 #include "telemetry/sampling.hpp"
 #include "telemetry/signaling_dataset.hpp"
 #include "test_world.hpp"
@@ -33,40 +33,54 @@ telemetry::HandoverRecord make_record(std::uint64_t ue, util::TimestampMs t,
 
 // --- Ping-pong ----------------------------------------------------------------
 
+/// Feeds executed hops to the one ping-pong definition and adds up the
+/// signaling time of each bounce's returning leg.
+struct PingPongProbe final : telemetry::RecordSink {
+  explicit PingPongProbe(std::int64_t window_ms) : detector{window_ms} {}
+  void consume(const telemetry::HandoverRecord& r) override {
+    if (r.success && detector.observe({r.anon_user_id, r.timestamp, r.source_sector,
+                                       r.target_sector})) {
+      wasted_ms += r.duration_ms;
+    }
+  }
+  analysis::PingPongDetector detector;
+  double wasted_ms = 0.0;
+};
+
 TEST(PingPong, DetectsReturnWithinWindow) {
-  telemetry::PingPongDetector detector{5'000};
-  detector.consume(make_record(1, 1'000, 10, 20));
-  detector.consume(make_record(1, 4'000, 20, 10));  // back within 3 s
-  EXPECT_EQ(detector.ping_pongs(), 1u);
-  EXPECT_EQ(detector.total_handovers(), 2u);
-  EXPECT_NEAR(detector.ping_pong_rate(), 0.5, 1e-12);
-  EXPECT_GT(detector.wasted_signaling_ms(), 0.0);
+  PingPongProbe probe{5'000};
+  probe.consume(make_record(1, 1'000, 10, 20));
+  probe.consume(make_record(1, 4'000, 20, 10));  // back within 3 s
+  EXPECT_EQ(probe.detector.ping_pongs(), 1u);
+  EXPECT_EQ(probe.detector.hops(), 2u);
+  EXPECT_NEAR(probe.detector.rate(), 0.5, 1e-12);
+  EXPECT_GT(probe.wasted_ms, 0.0);
 }
 
 TEST(PingPong, IgnoresSlowReturnsAndOtherTargets) {
-  telemetry::PingPongDetector detector{5'000};
-  detector.consume(make_record(1, 1'000, 10, 20));
-  detector.consume(make_record(1, 10'000, 20, 10));  // too late
-  detector.consume(make_record(1, 11'000, 10, 30));  // different target
-  detector.consume(make_record(1, 12'000, 30, 40));
-  EXPECT_EQ(detector.ping_pongs(), 0u);
+  PingPongProbe probe{5'000};
+  probe.consume(make_record(1, 1'000, 10, 20));
+  probe.consume(make_record(1, 10'000, 20, 10));  // too late
+  probe.consume(make_record(1, 11'000, 10, 30));  // different target
+  probe.consume(make_record(1, 12'000, 30, 40));
+  EXPECT_EQ(probe.detector.ping_pongs(), 0u);
 }
 
 TEST(PingPong, TracksUesIndependently) {
-  telemetry::PingPongDetector detector{5'000};
-  detector.consume(make_record(1, 1'000, 10, 20));
-  detector.consume(make_record(2, 1'500, 20, 10));  // different UE: no PP
-  EXPECT_EQ(detector.ping_pongs(), 0u);
-  detector.consume(make_record(2, 2'000, 10, 20));  // UE 2 returns: PP
-  EXPECT_EQ(detector.ping_pongs(), 1u);
+  PingPongProbe probe{5'000};
+  probe.consume(make_record(1, 1'000, 10, 20));
+  probe.consume(make_record(2, 1'500, 20, 10));  // different UE: no PP
+  EXPECT_EQ(probe.detector.ping_pongs(), 0u);
+  probe.consume(make_record(2, 2'000, 10, 20));  // UE 2 returns: PP
+  EXPECT_EQ(probe.detector.ping_pongs(), 1u);
 }
 
 TEST(PingPong, FailedHosDoNotCount) {
-  telemetry::PingPongDetector detector{5'000};
-  detector.consume(make_record(1, 1'000, 10, 20));
-  detector.consume(make_record(1, 2'000, 20, 10, /*success=*/false));
-  EXPECT_EQ(detector.ping_pongs(), 0u);
-  EXPECT_EQ(detector.total_handovers(), 1u);
+  PingPongProbe probe{5'000};
+  probe.consume(make_record(1, 1'000, 10, 20));
+  probe.consume(make_record(1, 2'000, 20, 10, /*success=*/false));
+  EXPECT_EQ(probe.detector.ping_pongs(), 0u);
+  EXPECT_EQ(probe.detector.hops(), 1u);
 }
 
 TEST(PingPong, SimulatedWorldHasMeasurablePpRate) {
@@ -75,12 +89,12 @@ TEST(PingPong, SimulatedWorldHasMeasurablePpRate) {
   cfg.days = 1;
   cfg.population.count = 2'000;
   core::Simulator sim{cfg};
-  telemetry::PingPongDetector detector{10'000};
-  sim.add_sink(&detector);
+  PingPongProbe probe{10'000};
+  sim.add_sink(&probe);
   sim.run();
-  ASSERT_GT(detector.total_handovers(), 1'000u);
-  EXPECT_GT(detector.ping_pongs(), 0u);
-  EXPECT_LT(detector.ping_pong_rate(), 0.5);
+  ASSERT_GT(probe.detector.hops(), 1'000u);
+  EXPECT_GT(probe.detector.ping_pongs(), 0u);
+  EXPECT_LT(probe.detector.rate(), 0.5);
 }
 
 TEST(PingPong, SuppressionPolicyReducesPpRate) {
@@ -92,16 +106,16 @@ TEST(PingPong, SuppressionPolicyReducesPpRate) {
   with.ping_pong_window_ms = 10'000;
 
   core::Simulator baseline{cfg};
-  telemetry::PingPongDetector detector_base{10'000};
-  baseline.add_sink(&detector_base);
+  PingPongProbe probe_base{10'000};
+  baseline.add_sink(&probe_base);
   baseline.run();
 
   core::Simulator suppressed{with};
-  telemetry::PingPongDetector detector_supp{10'000};
-  suppressed.add_sink(&detector_supp);
+  PingPongProbe probe_supp{10'000};
+  suppressed.add_sink(&probe_supp);
   suppressed.run();
 
-  EXPECT_LT(detector_supp.ping_pong_rate(), detector_base.ping_pong_rate());
+  EXPECT_LT(probe_supp.detector.rate(), probe_base.detector.rate());
 }
 
 // --- EN-DC ---------------------------------------------------------------------

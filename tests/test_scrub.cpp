@@ -1167,5 +1167,235 @@ TEST(BitRotChaos, RealSimulatorChainRepairsAcrossThreadCounts) {
   }
 }
 
+// --- hostile input: structure-aware WAL mutation ----------------------------
+//
+// The chaos suites above flip bits in valid segments, which the frame CRC
+// always catches. Here the mutator forges the fields a CRC cannot vouch for
+// once it is re-sealed — frame lengths, frame types, marker in_day / total /
+// app_len — and feeds every mutant to each consumer of the segment format.
+// Each must deliver exactly a committed prefix of the golden stream or stop
+// with a typed result or io::IoError: no crash, no out-of-bounds read, no
+// allocation sized by a forged field (the ASan+UBSan CI job runs this too).
+
+struct GoldenWal {
+  std::vector<int> days;
+  std::vector<std::size_t> day_end;       ///< records through days[i]
+  std::vector<std::uint32_t> record_crc;  ///< CRC of each encoded record
+};
+
+std::uint32_t record_crc(const HandoverRecord& r) {
+  std::vector<std::uint8_t> bytes;
+  RecordLog::encode_record(r, bytes);
+  return util::crc32c(bytes.data(), bytes.size());
+}
+
+/// The prefix property: whole golden days, in order, nothing else.
+void expect_golden_prefix(const CollectingSink& got, const GoldenWal& golden,
+                          const std::string& what) {
+  ASSERT_LE(got.days.size(), golden.days.size()) << what;
+  for (std::size_t i = 0; i < got.days.size(); ++i) {
+    ASSERT_EQ(got.days[i], golden.days[i]) << what;
+  }
+  const std::size_t records =
+      got.days.empty() ? 0 : golden.day_end[got.days.size() - 1];
+  ASSERT_EQ(got.records.size(), records) << what;
+  for (std::size_t i = 0; i < records; ++i) {
+    ASSERT_EQ(record_crc(got.records[i]), golden.record_crc[i]) << what << " @" << i;
+  }
+}
+
+struct FrameAt {
+  std::uint64_t offset = 0;
+  std::uint32_t len = 0;
+  std::uint8_t type = 0;
+};
+
+std::uint32_t read_u32(const std::vector<std::uint8_t>& b, std::uint64_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
+  return v;
+}
+
+void write_le(std::vector<std::uint8_t>& b, std::uint64_t at, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Frames of a golden segment (written by the real writer, so well formed).
+std::vector<FrameAt> frames_of(const std::vector<std::uint8_t>& seg) {
+  std::vector<FrameAt> out;
+  for (std::uint64_t at = RecordLog::kSegmentHeaderSize;
+       at + RecordLog::kFrameHeaderSize <= seg.size();) {
+    const FrameAt f{at, read_u32(seg, at), seg[at + 8]};
+    out.push_back(f);
+    at += RecordLog::kFrameHeaderSize + f.len;
+  }
+  return out;
+}
+
+/// Re-seals a frame's CRC over whatever its (possibly forged) length covers,
+/// when the file holds that many bytes; a forged length that runs past the
+/// end keeps the stale CRC (the reader must stop before checking it).
+void reseal(std::vector<std::uint8_t>& seg, std::uint64_t at) {
+  const std::uint64_t len = read_u32(seg, at);
+  if (at + RecordLog::kFrameHeaderSize + len > seg.size()) return;
+  std::uint32_t crc = util::crc32c(&seg[at + 8], 1);
+  crc = util::crc32c(seg.data() + at + RecordLog::kFrameHeaderSize, len, crc);
+  write_le(seg, at + 4, util::mask_crc32c(crc), 4);
+}
+
+/// One forged field in one frame of `seg`; returns a label for failures.
+std::string mutate(std::vector<std::uint8_t>& seg, util::Rng& rng) {
+  const std::vector<FrameAt> frames = frames_of(seg);
+  if (frames.empty()) {
+    // Header-only tail: forge the index and re-seal the header CRC.
+    write_le(seg, 8, rng.below(4), 4);
+    write_le(seg, 12, util::mask_crc32c(util::crc32c(seg.data(), 12)), 4);
+    return "header index";
+  }
+  std::vector<FrameAt> markers;
+  for (const FrameAt& f : frames) {
+    if (f.type == RecordLog::kDayMarkerFrame) markers.push_back(f);
+  }
+  const FrameAt f = frames[rng.below(frames.size())];
+  const std::uint64_t rest = seg.size() - f.offset - RecordLog::kFrameHeaderSize;
+  switch (rng.below(4)) {
+    case 0: {  // frame length
+      const std::uint64_t lens[] = {0,  1,  23,  24,  48,  50,  f.len - 1ull,
+                                    f.len + 1ull, rest, rest + 1, 1u << 28,
+                                    (1u << 28) + 1, 0xFFFFFFFFu,
+                                    rng() & 0xFFFFFFFFu};
+      const std::uint64_t len = lens[rng.below(std::size(lens))];
+      write_le(seg, f.offset, len, 4);
+      if (rng.below(2) == 0) reseal(seg, f.offset);
+      return "len " + std::to_string(len) + " at " + std::to_string(f.offset);
+    }
+    case 1:
+    case 2: {  // marker in_day / total / app_len, CRC re-sealed
+      if (markers.empty()) break;
+      const FrameAt m = markers[rng.below(markers.size())];
+      const std::uint64_t body = m.offset + RecordLog::kFrameHeaderSize;
+      const int field = static_cast<int>(rng.below(3));
+      const std::uint64_t at = body + (field == 0 ? 4 : field == 1 ? 12 : 20);
+      const int width = field == 2 ? 4 : 8;
+      std::uint64_t old = 0;
+      for (int i = 0; i < width; ++i) old |= static_cast<std::uint64_t>(seg[at + i]) << (8 * i);
+      const std::uint64_t values[] = {0, 1, old - 1, old + 1, old + 1000,
+                                      0xFFFFFFFFull, ~0ull, rng()};
+      write_le(seg, at, values[rng.below(std::size(values))], width);
+      reseal(seg, m.offset);
+      return std::string{field == 0 ? "in_day" : field == 1 ? "total" : "app_len"} +
+             " at " + std::to_string(m.offset);
+    }
+    default:
+      break;
+  }
+  // Frame type, CRC re-sealed (a record posing as a marker and back, or a
+  // type no writer produces).
+  const std::uint8_t types[] = {0, 3, 0x7F, 0xFF,
+                                static_cast<std::uint8_t>(3 - f.type)};
+  seg[f.offset + 8] = types[rng.below(std::size(types))];
+  reseal(seg, f.offset);
+  return "type " + std::to_string(seg[f.offset + 8]) + " at " + std::to_string(f.offset);
+}
+
+TEST(HostileWal, ForgedFieldsStopEveryReaderAtACommittedPrefix) {
+  TempDir tmp{"hostile"};
+  auto& real = io::StdioFileSystem::instance();
+  const std::string gold = tmp.path + "/gold";
+  RecordLog::Options opt;
+  opt.directory = gold;
+  opt.max_segment_bytes = 16 * 1024;  // two days per sealed segment
+  {
+    RecordLog log{real, opt};
+    log.open();
+    commit_days(log, 0, 7);  // 3 sealed segments + a 1-day tail
+  }
+  GoldenWal golden;
+  {
+    CollectingSink all;
+    RecordLog::replay(real, gold, all);
+    golden.days = all.days;
+    for (std::size_t d = 0; d < all.days.size(); ++d) {
+      golden.day_end.push_back((d + 1) * kPerDay);
+    }
+    for (const HandoverRecord& r : all.records) golden.record_crc.push_back(record_crc(r));
+    ASSERT_EQ(golden.days.size(), 7u);
+  }
+  const std::vector<std::string> names = real.list(gold, "wal-");
+  ASSERT_EQ(names.size(), 4u);
+  std::vector<std::vector<std::uint8_t>> segments;
+  for (const std::string& name : names) segments.push_back(io::read_file(real, gold + "/" + name));
+
+  util::Rng rng{0x405711E};
+  const int mutants = 4 * chaos_schedule_count();
+  int stopped = 0;
+  for (int m = 0; m < mutants; ++m) {
+    const std::size_t victim = rng.below(segments.size());
+    std::vector<std::uint8_t> seg = segments[victim];
+    std::string what = mutate(seg, rng);
+    if (rng.below(8) == 0) {  // sometimes cut the forged frame short as well
+      seg.resize(RecordLog::kSegmentHeaderSize + rng.below(seg.size()));
+      what += ", cut to " + std::to_string(seg.size());
+    }
+    if (seg == segments[victim]) continue;  // the forgery wrote the same bytes
+    what = names[victim] + ": " + what;
+    const std::string dir = tmp.path + "/m";
+    stdfs::remove_all(dir);
+    copy_wal(gold, dir);
+    write_file(dir + "/" + names[victim], seg);
+
+    // Recovery's scan, through replay.
+    CollectingSink replayed;
+    try {
+      RecordLog::replay(real, dir, replayed);
+    } catch (const io::IoError&) {
+    }
+    expect_golden_prefix(replayed, golden, "replay, " + what);
+    if (replayed.days.size() < golden.days.size()) ++stopped;
+
+    // Tail-follow from a fresh cursor.
+    CollectingSink followed;
+    LogCursor cursor;
+    try {
+      const TailReadResult r = RecordLog::follow(real, dir, cursor, followed);
+      EXPECT_NE(r.state, TailState::kMore) << what;
+      EXPECT_EQ(cursor.day, followed.days.empty() ? -1 : followed.days.back()) << what;
+    } catch (const io::IoError&) {
+    }
+    expect_golden_prefix(followed, golden, "follow, " + what);
+
+    // The scrub audit: a typed verdict whose byte ranges stay in the file.
+    const SegmentAudit a =
+        audit_segment(real, dir + "/" + names[victim], static_cast<std::uint32_t>(victim));
+    EXPECT_EQ(a.size, seg.size()) << what;
+    EXPECT_LE(a.valid_bytes, a.size) << what;
+    EXPECT_LE(a.records, golden.record_crc.size()) << what;
+    if (a.has_defect) {
+      EXPECT_GE(a.defect_offset, RecordLog::kSegmentHeaderSize) << what;
+      EXPECT_EQ(a.defect_offset, a.valid_bytes) << what;
+      EXPECT_LE(a.defect_offset + a.defect_length, a.size) << what;
+    }
+    EXPECT_NO_THROW(LogScrubber(real, {dir, ""}).run()) << what;
+
+    // Writer recovery truncates back to a committed prefix (or refuses).
+    try {
+      RecordLog::Options reopen = opt;
+      reopen.directory = dir;
+      RecordLog log{real, reopen};
+      const telemetry::LogRecoveryReport rec = log.open();
+      EXPECT_LT(rec.last_committed_day, static_cast<int>(golden.days.size())) << what;
+      CollectingSink recovered;
+      RecordLog::replay(real, dir, recovered);
+      expect_golden_prefix(recovered, golden, "recovery, " + what);
+      EXPECT_EQ(recovered.days.empty() ? -1 : recovered.days.back(),
+                rec.last_committed_day) << what;
+    } catch (const io::IoError&) {
+    }
+    if (HasFatalFailure()) return;
+  }
+  // The forgeries must actually bite: most mutants stop delivery early.
+  EXPECT_GT(stopped, mutants / 4);
+}
+
 }  // namespace
 }  // namespace tl

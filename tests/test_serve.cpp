@@ -13,7 +13,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -492,6 +495,203 @@ TEST(TailFollow, ConcurrentReaderSurvivesWriterCrash) {
     ASSERT_EQ(sink.records[i].timestamp, oracle[i].timestamp) << i;
   }
   RecordProperty("saw_pending", saw_pending ? 1 : 0);
+}
+
+// --- tail-follow racing a writer's commit and roll ----------------------------
+
+/// Pass-through FileSystem with one-shot hooks at exact points of the I/O
+/// sequence of whoever uses it: `on_size` runs after a file_size() sample of
+/// `size_path` (before the sample is returned), `on_write` after a write()
+/// whose bytes it first flushes, so another thread sees a partial frame.
+class HookedFileSystem final : public io::FileSystem {
+ public:
+  std::string size_path;
+  std::function<void()> on_size;
+  std::function<void()> on_write;
+
+  std::unique_ptr<io::File> open(const std::string& path,
+                                 io::OpenMode mode) override {
+    return std::make_unique<HookedFile>(inner_.open(path, mode), on_write);
+  }
+  bool exists(const std::string& path) override { return inner_.exists(path); }
+  std::uint64_t file_size(const std::string& path) override {
+    const std::uint64_t size = inner_.file_size(path);
+    if (path == size_path) fire(on_size);
+    return size;
+  }
+  void rename(const std::string& from, const std::string& to) override {
+    inner_.rename(from, to);
+  }
+  void remove(const std::string& path) override { inner_.remove(path); }
+  void truncate(const std::string& path, std::uint64_t size) override {
+    inner_.truncate(path, size);
+  }
+  void create_directories(const std::string& path) override {
+    inner_.create_directories(path);
+  }
+  std::vector<std::string> list(const std::string& dir,
+                                const std::string& prefix) override {
+    return inner_.list(dir, prefix);
+  }
+
+ private:
+  static void fire(std::function<void()>& hook) {
+    if (!hook) return;
+    const std::function<void()> once = std::move(hook);
+    hook = nullptr;
+    once();
+  }
+
+  class HookedFile final : public io::File {
+   public:
+    HookedFile(std::unique_ptr<io::File> inner, std::function<void()>& on_write)
+        : inner_(std::move(inner)), on_write_(on_write) {}
+    std::size_t write(const void* data, std::size_t size) override {
+      const std::size_t n = inner_->write(data, size);
+      if (on_write_) {
+        inner_->flush();
+        fire(on_write_);
+      }
+      return n;
+    }
+    std::size_t read(void* data, std::size_t size) override {
+      return inner_->read(data, size);
+    }
+    void seek(std::uint64_t offset) override { inner_->seek(offset); }
+    void flush() override { inner_->flush(); }
+    void sync() override { inner_->sync(); }
+    std::uint64_t size() override { return inner_->size(); }
+    void close() override { inner_->close(); }
+
+   private:
+    std::unique_ptr<io::File> inner_;
+    std::function<void()>& on_write_;
+  };
+
+  io::FileSystem& inner_ = io::StdioFileSystem::instance();
+};
+
+TEST(TailFollow, WriterRollBetweenSizeSampleAndSuccessorCheckIsPending) {
+  // The reader samples the tail segment's size while the writer is mid-
+  // commit (a partial frame on disk); before the reader looks for a
+  // successor, the writer finishes the day and rolls. The partial frame was
+  // a write in flight, so the healthy WAL must read as pending, never torn.
+  TempDir tmp{"follow_roll_race"};
+  RecordLog::Options opt;
+  opt.directory = tmp.path;
+  opt.max_segment_bytes = 16 * 1024;  // day 1's commit seals segment 0
+  opt.write_chunk_bytes = 512;        // and lands in chunks
+  HookedFileSystem writer_fs;
+  RecordLog log{writer_fs, opt};
+  log.open();
+  commit_days(log, 0, 1);
+
+  HookedFileSystem reader_fs;
+  LogCursor cursor;
+  CollectingSink sink;
+  ASSERT_EQ(RecordLog::follow(reader_fs, tmp.path, cursor, sink).state,
+            TailState::kClean);
+  ASSERT_EQ(cursor.day, 0);
+
+  std::promise<void> partial, resume, committed;
+  std::future<void> partial_seen = partial.get_future();
+  std::future<void> resumed = resume.get_future();
+  std::future<void> commit_done = committed.get_future();
+  for (std::uint32_t i = 0; i < kPerDay; ++i) log.append(make_record(1, i));
+  writer_fs.on_write = [&] {
+    partial.set_value();
+    resumed.wait();
+  };
+  std::exception_ptr writer_error;
+  std::thread writer{[&] {
+    try {
+      log.commit_day(1, {});
+    } catch (...) {
+      writer_error = std::current_exception();
+    }
+    committed.set_value();
+  }};
+  partial_seen.wait();  // the first chunk of day 1 is on disk, the rest not
+
+  bool hook_ran = false;
+  reader_fs.size_path = tmp.path + "/" + RecordLog::segment_name(0);
+  reader_fs.on_size = [&] {
+    hook_ran = true;
+    resume.set_value();
+    commit_done.wait();  // day 1 committed and segment 0 sealed
+  };
+  TailReadResult racing;
+  std::exception_ptr reader_error;
+  try {
+    racing = RecordLog::follow(reader_fs, tmp.path, cursor, sink);
+  } catch (...) {
+    reader_error = std::current_exception();
+  }
+  if (!hook_ran) resume.set_value();
+  writer.join();
+  ASSERT_FALSE(writer_error);
+  ASSERT_FALSE(reader_error);
+  ASSERT_TRUE(hook_ran);
+  ASSERT_TRUE(io::StdioFileSystem::instance().exists(
+      tmp.path + "/" + RecordLog::segment_name(1)));  // the writer rolled
+  EXPECT_EQ(racing.state, TailState::kPending);
+  EXPECT_EQ(racing.days_delivered, 0u);
+
+  const TailReadResult next = RecordLog::follow(reader_fs, tmp.path, cursor, sink);
+  EXPECT_EQ(next.state, TailState::kClean);
+  EXPECT_EQ(next.days_delivered, 1u);
+  EXPECT_EQ(sink.days, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sink.records.size(), 2u * kPerDay);
+}
+
+TEST(TailFollow, ConcurrentWriterRollsNeverReadTornOrMiscounted) {
+  // Stress for the same race without hooks: a writer commits days into
+  // small segments (a roll every other day) while a reader polls with no
+  // coordination. Every poll must report a live tail (never torn, never a
+  // marker count error) and the days must arrive whole, once, in order.
+  TempDir tmp{"follow_roll_stress"};
+  auto& real = io::StdioFileSystem::instance();
+  constexpr int kDays = 40;
+  RecordLog::Options opt;
+  opt.directory = tmp.path;
+  opt.max_segment_bytes = 16 * 1024;
+  opt.write_chunk_bytes = 256;
+  std::atomic<bool> writer_done{false};
+  std::exception_ptr writer_error;
+  std::thread writer{[&] {
+    try {
+      RecordLog log{real, opt};
+      log.open();
+      commit_days(log, 0, kDays);
+    } catch (...) {
+      writer_error = std::current_exception();
+    }
+    writer_done.store(true);
+  }};
+
+  LogCursor cursor;
+  CollectingSink sink;
+  std::vector<std::string> bad;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (cursor.day < kDays - 1 && std::chrono::steady_clock::now() < deadline) {
+    const bool done = writer_done.load();
+    try {
+      const TailReadResult r = RecordLog::follow(real, tmp.path, cursor, sink);
+      if (r.state == TailState::kTorn) {
+        bad.push_back("torn after day " + std::to_string(cursor.day));
+      }
+    } catch (const std::exception& error) {
+      bad.push_back(error.what());
+    }
+    if (done && cursor.day < kDays - 1) break;  // writer gone, reader stuck
+  }
+  writer.join();
+  ASSERT_FALSE(writer_error);
+  EXPECT_TRUE(bad.empty()) << bad.size() << " bad polls, first: " << bad.front();
+  std::vector<int> all_days(kDays);
+  for (int d = 0; d < kDays; ++d) all_days[static_cast<std::size_t>(d)] = d;
+  EXPECT_EQ(sink.days, all_days);
+  EXPECT_EQ(sink.records.size(), static_cast<std::size_t>(kDays) * kPerDay);
 }
 
 // --- pruned-chain writer recovery (base-aware scan) --------------------------
