@@ -14,9 +14,8 @@ namespace {
 constexpr std::uint8_t kSerialVersion = 1;
 constexpr char kSerialMagic[4] = {'T', 'L', 'Q', 'S'};
 // Far beyond any state this process could hold; lets deserialize reject
-// garbage lengths before allocating.
+// garbage lengths before allocating (kMaxK bounds k the same way).
 constexpr std::uint32_t kMaxLevels = 64;
-constexpr std::uint32_t kMaxK = 1u << 20;
 
 using util::put_u32;
 using util::put_u64;

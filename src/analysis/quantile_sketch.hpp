@@ -97,6 +97,11 @@ class QuantileSketch {
   };
   std::vector<CurvePoint> curve(std::size_t points) const;
 
+  /// Largest k a serialized sketch may declare: far beyond any state this
+  /// process could hold, it bounds what a forged image can make a decoder
+  /// allocate.
+  static constexpr std::size_t kMaxK = std::size_t{1} << 20;
+
   /// Deterministic byte serialization: two sketches with identical state
   /// produce identical bytes (the chaos harness compares these directly).
   void serialize(std::vector<std::uint8_t>& out) const;

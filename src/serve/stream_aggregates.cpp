@@ -341,7 +341,13 @@ StreamAggregates StreamAggregates::deserialize(
     r.fail("window_days out of range");
   }
   if (options.sample_modulus == 0) r.fail("sample_modulus zero");
-  StreamAggregates aggs(options);  // validates sketch_k via the open sketch
+  // Checked here, not left to the open sketch's constructor: that one
+  // throws std::invalid_argument, and would first reserve a forged k.
+  if (options.sketch_k < 4 || options.sketch_k % 2 != 0 ||
+      options.sketch_k > analysis::QuantileSketch::kMaxK) {
+    r.fail("sketch_k out of range");
+  }
+  StreamAggregates aggs(options);
   aggs.total_records_ = r.u64();
   aggs.total_failures_ = r.u64();
   aggs.days_sealed_ = r.u64();

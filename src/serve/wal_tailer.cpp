@@ -173,7 +173,11 @@ void WalTailer::load_checkpoint(const std::string& path) {
     days_lost = in.u64();
     loss_first = static_cast<std::int32_t>(in.u32());
     loss_last = static_cast<std::int32_t>(in.u32());
-    loss_exact = in.u8() != 0;
+    const std::uint8_t exact = in.u8();
+    if (exact > 1) {
+      throw io::IoError{"serve checkpoint loss-ledger exact flag invalid: " + path};
+    }
+    loss_exact = exact == 1;
   }
   StreamAggregates aggs = [&] {
     try {

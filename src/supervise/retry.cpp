@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "govern/governor.hpp"
-#include "util/rng.hpp"
 
 namespace tl::supervise {
 namespace {
@@ -45,17 +44,21 @@ class AttemptWatchdog {
 
 }  // namespace
 
-std::uint64_t retry_backoff_ms(const RetryPolicy& policy, int attempt) {
+std::uint64_t capped_backoff_ms(std::uint64_t initial_ms, double multiplier,
+                                std::uint64_t cap_ms, int attempt,
+                                util::Rng jitter) {
   if (attempt <= 1) return 0;
-  const double base =
-      static_cast<double>(policy.backoff_initial_ms) *
-      std::pow(policy.backoff_multiplier, static_cast<double>(attempt - 2));
-  const double capped =
-      std::min(base, static_cast<double>(policy.backoff_cap_ms));
-  const double jitter =
-      util::Rng::derive(policy.jitter_seed, static_cast<std::uint64_t>(attempt))
-          .uniform(0.5, 1.5);
-  return static_cast<std::uint64_t>(capped * jitter);
+  const double base = static_cast<double>(initial_ms) *
+                      std::pow(multiplier, static_cast<double>(attempt - 2));
+  const double capped = std::min(base, static_cast<double>(cap_ms));
+  return static_cast<std::uint64_t>(capped * jitter.uniform(0.5, 1.5));
+}
+
+std::uint64_t retry_backoff_ms(const RetryPolicy& policy, int attempt) {
+  return capped_backoff_ms(
+      policy.backoff_initial_ms, policy.backoff_multiplier, policy.backoff_cap_ms,
+      attempt,
+      util::Rng::derive(policy.jitter_seed, static_cast<std::uint64_t>(attempt)));
 }
 
 RetryReport run_with_retries(const RetryPolicy& policy, const std::string& what,

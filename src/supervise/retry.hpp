@@ -20,6 +20,7 @@
 
 #include "supervise/cancellation.hpp"
 #include "supervise/status.hpp"
+#include "util/rng.hpp"
 
 namespace tl::supervise {
 
@@ -59,5 +60,13 @@ RetryReport run_with_retries(const RetryPolicy& policy, const std::string& what,
 
 /// The backoff a given retry sleeps (jitter included); exposed for tests.
 std::uint64_t retry_backoff_ms(const RetryPolicy& policy, int attempt);
+
+/// The one capped-exponential backoff, shared with the supervisor: 0 before
+/// the first attempt, else min(cap, initial * multiplier^(attempt-2))
+/// scaled by a jitter factor drawn from `jitter` in [0.5, 1.5). Each caller
+/// keys its own jitter stream.
+std::uint64_t capped_backoff_ms(std::uint64_t initial_ms, double multiplier,
+                                std::uint64_t cap_ms, int attempt,
+                                util::Rng jitter);
 
 }  // namespace tl::supervise

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <future>
 #include <mutex>
@@ -12,7 +11,7 @@
 #include "exec/sharded_runner.hpp"
 #include "govern/governor.hpp"
 #include "obs/scoped_timer.hpp"
-#include "util/rng.hpp"
+#include "supervise/retry.hpp"
 
 namespace tl::supervise {
 
@@ -185,17 +184,12 @@ void StudySupervisor::resolve_obs() {
 
 std::uint64_t StudySupervisor::backoff_ms(int day, std::size_t shard,
                                           int attempt) const {
-  if (attempt <= 1) return 0;
-  const double base =
-      static_cast<double>(options_.backoff_initial_ms) *
-      std::pow(options_.backoff_multiplier, static_cast<double>(attempt - 2));
-  const double capped = std::min(base, static_cast<double>(options_.backoff_cap_ms));
-  const double jitter =
+  return capped_backoff_ms(
+      options_.backoff_initial_ms, options_.backoff_multiplier,
+      options_.backoff_cap_ms, attempt,
       util::Rng::derive(options_.jitter_seed, static_cast<std::uint64_t>(day),
                         static_cast<std::uint64_t>(shard),
-                        static_cast<std::uint64_t>(attempt))
-          .uniform(0.5, 1.5);
-  return static_cast<std::uint64_t>(capped * jitter);
+                        static_cast<std::uint64_t>(attempt)));
 }
 
 std::size_t StudySupervisor::isolate(int day, std::size_t shard,

@@ -244,96 +244,7 @@ void RecordLog::roll_segment() {
   segment_size_ = kSegmentHeaderSize;
 }
 
-// --- recovery / replay -------------------------------------------------------
-
-/// Forward scan over the segment chain. Stops at the first invalid byte —
-/// truncated frame, CRC mismatch, bad header, non-contiguous segment — and
-/// reports the position of the last committed day marker before it.
-struct RecordLog::Scan {
-  std::vector<std::string> segments;  // listing at scan time, sorted
-  std::vector<std::uint64_t> sizes;   // parallel to `segments`
-  std::uint32_t base = 0;             // index of the first listed segment
-  bool first_header_valid = false;
-  bool any_marker = false;
-  std::size_t marker_seg = 0;            // listing POSITION of the last marker
-  std::uint64_t marker_offset = 0;       // offset just past that marker frame
-  int last_day = -1;
-  std::uint64_t committed_records = 0;   // from the last marker
-  std::vector<std::uint8_t> app_state;   // from the last marker
-  std::uint64_t dropped_records = 0;     // complete record frames past it
-};
-
-RecordLog::Scan RecordLog::scan(io::FileSystem& fs, const std::string& directory,
-                                RecordSink* sink) {
-  Scan s;
-  s.segments = fs.list(directory, "wal-");
-  // Retention may have deleted a committed prefix of the chain: the first
-  // listed name fixes the base index everything else must be contiguous
-  // with. An unparseable first name means nothing in the listing is ours.
-  if (!s.segments.empty() && !parse_segment_index(s.segments[0], s.base)) {
-    s.base = 0;
-  }
-  std::uint64_t records_seen = 0;        // record frames since log start
-  // With a pruned chain the records before `base` are gone; the cumulative
-  // count in the first marker is adopted rather than verified. A chain from
-  // index 0 has nothing before it, so its first marker is fully verified.
-  bool have_total = s.base == 0;
-  std::uint64_t records_since_marker = 0;
-  std::vector<HandoverRecord> pending;   // decoded records of the open day
-
-  for (std::size_t si = 0; si < s.segments.size(); ++si) {
-    const std::uint32_t seg_index = s.base + static_cast<std::uint32_t>(si);
-    // The chain must be contiguous wal-<base>, wal-<base+1>, ...; anything
-    // else (a gap, a stray file) ends the valid prefix.
-    if (s.segments[si] != segment_name(seg_index)) break;
-    const std::string path = directory + "/" + s.segments[si];
-    SegmentReader reader{fs, path, seg_index};
-    s.sizes.push_back(reader.size());
-
-    const SegmentStep* step = &reader.next();
-    for (; step->is_frame(); step = &reader.next()) {
-      if (step->kind == SegmentStep::kRecord) {
-        ++records_seen;
-        ++records_since_marker;
-        if (sink != nullptr) pending.push_back(step->record);
-        continue;
-      }
-      if (step->in_day != records_since_marker ||
-          (have_total && step->total != records_seen)) {
-        // A CRC-valid marker whose counts disagree with the frames on disk
-        // means a writer bug or tampering, not a torn tail: fail loudly
-        // rather than silently serving a record stream of unknown shape.
-        throw io::IoError{"record log corrupt: marker record counts disagree "
-                          "with the frames preceding it (" +
-                          path + ")"};
-      }
-      if (!have_total) {
-        // First marker of a retention-pruned chain: adopt the cumulative
-        // count (the frames it counts were deleted); verify from here on.
-        records_seen = step->total;
-        have_total = true;
-      }
-      s.any_marker = true;
-      s.marker_seg = si;
-      s.marker_offset = reader.offset();
-      s.last_day = step->day;
-      s.committed_records = step->total;
-      s.app_state.assign(step->app_state.begin(), step->app_state.end());
-      records_since_marker = 0;
-      if (sink != nullptr) {
-        for (const auto& r : pending) sink->consume(r);
-        pending.clear();
-        sink->on_day_end(step->day);
-      }
-    }
-    if (si == 0) s.first_header_valid = reader.past_header();
-    // Anything but a clean end (torn header, truncated frame, CRC mismatch,
-    // foreign frame) drops this and every later segment.
-    if (step->kind != SegmentStep::kEnd) break;
-  }
-  s.dropped_records = records_since_marker;
-  return s;
-}
+// --- recovery / replay ---------------------------------------------------------
 
 LogRecoveryReport RecordLog::open() {
   resolve_obs();
@@ -346,66 +257,60 @@ LogRecoveryReport RecordLog::open() {
   fs_.create_directories(options_.directory);
   if (!options_.mirror_directory.empty()) {
     fs_.create_directories(options_.mirror_directory);
-    // Integrity pass BEFORE the recovery scan: restore any latently damaged
+    // Integrity pass BEFORE the recovery walk: restore any latently damaged
     // sealed primary from its clean mirror and catch the mirror up (covers
     // a crash between seal and mirror copy). Without this, a single flipped
-    // bit in a sealed segment would make scan() truncate every committed
+    // bit in a sealed segment would make recovery truncate every committed
     // day after it. Segments damaged in BOTH copies stay damaged — the
     // writer's certified fallback is truncate-and-regenerate, which the
-    // scan below performs; certified *skipping* is the reader's job
+    // walk below performs; certified *skipping* is the reader's job
     // (follow() + FollowOptions::quarantined).
     LogIntegrity{fs_, ScrubOptions{options_.directory,
                                    options_.mirror_directory}}
         .check_and_repair();
   }
+  const std::vector<std::string> names = fs_.list(options_.directory, "wal-");
+  LogCursor cursor;
+  WalkEnd end;
+  TailReadResult walked = walk(fs_, options_.directory, cursor, nullptr, {}, end);
   LogRecoveryReport report;
+  report.log_existed = !names.empty();
+  report.last_committed_day = cursor.day;
+  report.committed_records = cursor.records;
+  report.dropped_records = end.unmarked_records;
+  report.app_state = std::move(walked.last_app_state);
 
-  const Scan s = scan(fs_, options_.directory, nullptr);
-  report.log_existed = !s.segments.empty();
-  report.last_committed_day = s.last_day;
-  report.committed_records = s.committed_records;
-  report.dropped_records = s.dropped_records;
-  report.app_state = s.app_state;
-
-  std::uint64_t bytes_before = 0;
-  for (std::size_t i = 0; i < s.sizes.size(); ++i) bytes_before += s.sizes[i];
-  // Unlisted trailing sizes (segments after a name-contiguity break) were
-  // never measured; measure them now so dropped_bytes is complete.
-  for (std::size_t i = s.sizes.size(); i < s.segments.size(); ++i) {
-    bytes_before += fs_.file_size(options_.directory + "/" + s.segments[i]);
+  // Keep the chain up to the last marker delivered — or just the first
+  // segment's header when nothing was committed — and drop every listed
+  // file after it, newest first. With no readable chain start at all
+  // (fresh directory, torn first header, a listing that is not ours),
+  // every listed file goes and the chain starts over.
+  const bool committed = cursor.day >= 0;
+  const bool keep_chain = committed || end.header_valid;
+  const std::string kept = keep_chain ? segment_name(cursor.segment) : std::string{};
+  for (auto it = names.rbegin(); it != names.rend() && *it > kept; ++it) {
+    const std::string path = options_.directory + "/" + *it;
+    report.dropped_bytes += fs_.file_size(path);
+    fs_.remove(path);
   }
-
-  // Discard everything past the last committed marker: truncate the marker's
-  // segment and delete every later file in the listing.
-  const std::size_t keep_seg = s.any_marker ? s.marker_seg : 0;
-  for (std::size_t i = s.segments.size(); i-- > keep_seg + 1;) {
-    fs_.remove(options_.directory + "/" + s.segments[i]);
-  }
-  std::uint64_t bytes_after = 0;
-  if (s.any_marker || s.first_header_valid) {
-    const std::uint64_t keep =
-        s.any_marker ? s.marker_offset : static_cast<std::uint64_t>(kSegmentHeaderSize);
-    fs_.truncate(segment_path(s.base + static_cast<std::uint32_t>(keep_seg)), keep);
-    segment_index_ = s.base + static_cast<std::uint32_t>(keep_seg);
+  if (keep_chain) {
+    const std::uint64_t keep = committed ? cursor.offset : kSegmentHeaderSize;
+    segment_index_ = cursor.segment;
+    report.dropped_bytes += fs_.file_size(segment_path(segment_index_)) - keep;
+    fs_.truncate(segment_path(segment_index_), keep);
     segment_size_ = keep;
     current_ = fs_.open(segment_path(segment_index_), io::OpenMode::kAppend);
-    for (std::size_t i = 0; i < keep_seg; ++i) bytes_after += s.sizes[i];
-    bytes_after += keep;
   } else {
-    // Nothing usable (fresh directory, or segment 0's header itself is
-    // torn): start the chain over.
-    if (!s.segments.empty()) fs_.remove(options_.directory + "/" + s.segments[0]);
     segment_index_ = 0;
     current_ = fs_.open(segment_path(0), io::OpenMode::kTruncate);
     write_segment_header(*current_, 0);
     segment_size_ = kSegmentHeaderSize;
   }
-  report.dropped_bytes = bytes_before - bytes_after;
   obs_dropped_bytes_.inc(report.dropped_bytes);
   obs_dropped_records_.inc(report.dropped_records);
 
-  last_committed_day_ = s.last_day;
-  committed_records_ = s.committed_records;
+  last_committed_day_ = cursor.day;
+  committed_records_ = cursor.records;
   // A sealed tail segment means the crash hit between a commit and its
   // roll; redo the roll so the byte layout matches an uninterrupted run.
   if (segment_size_ >= options_.max_segment_bytes) roll_segment();
@@ -416,8 +321,10 @@ LogRecoveryReport RecordLog::open() {
 
 std::uint64_t RecordLog::replay(io::FileSystem& fs, const std::string& directory,
                                 RecordSink& sink) {
-  const Scan s = scan(fs, directory, &sink);
-  return s.committed_records;
+  LogCursor cursor;
+  WalkEnd end;
+  walk(fs, directory, cursor, &sink, {}, end);
+  return cursor.records;
 }
 
 std::vector<HandoverRecord> RecordLog::read_all(io::FileSystem& fs,
@@ -440,6 +347,30 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
 TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& directory,
                                  LogCursor& cursor, RecordSink& sink,
                                  const FollowOptions& options) {
+  WalkEnd end;
+  return walk(fs, directory, cursor, &sink, options, end);
+}
+
+// --- the chain walk ------------------------------------------------------------
+
+TailState segment_end_state(SegmentStep::Kind stop, bool unmarked,
+                            bool sealed) noexcept {
+  if (stop == SegmentStep::kEnd && !unmarked) return TailState::kClean;
+  // Bytes past the end of the data (a short segment, a frame running past
+  // end-of-file) and record frames with no marker yet are a write still in
+  // flight — but only in the newest segment. Sealed segments never grow
+  // (rolls are commit-aligned, so days never span segments), so the same
+  // shapes mid-chain are damage (a crash at segment creation under ENOSPC,
+  // rot in a length field) that waiting can never heal. Everything else
+  // (bad header, garbage length, a complete frame with a bad CRC, a foreign
+  // frame) can only be a torn tail from a crash, or rot: never deliverable.
+  const bool growing = stop == SegmentStep::kEnd || stop == SegmentStep::kTruncated;
+  return growing && !sealed ? TailState::kPending : TailState::kTorn;
+}
+
+TailReadResult RecordLog::walk(io::FileSystem& fs, const std::string& directory,
+                               LogCursor& cursor, RecordSink* sink,
+                               const FollowOptions& options, WalkEnd& end) {
   const std::uint64_t max_days = options.max_days;
   const auto is_quarantined = [&options](std::uint32_t segment) {
     return std::binary_search(options.quarantined.begin(),
@@ -452,8 +383,12 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
   TailReadResult result;
   const std::vector<std::string> names = fs.list(directory, "wal-");
   if (names.empty()) return result;  // no log yet: caught up by definition
+  // The chain starts at the first segment name listed; any other file under
+  // the prefix (a temp file, a backup) is not a link in it.
   std::uint32_t base = 0;
-  if (!parse_segment_index(names[0], base)) {
+  if (std::none_of(names.begin(), names.end(), [&base](const std::string& name) {
+        return parse_segment_index(name, base);
+      })) {
     result.state = TailState::kTorn;  // nothing in the listing is ours
     return result;
   }
@@ -475,6 +410,13 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
   // writer's recovery without a day high-water mark.
   std::uint32_t seg = cursor.segment;
   std::uint64_t pos = cursor.offset;
+  // Records of the not-yet-marked day: decoded into `day_records` when
+  // there is a sink to deliver them to, only counted otherwise. Days never
+  // span segments, so both are empty whenever the walk moves on.
+  std::vector<HandoverRecord> day_records;
+  std::vector<HandoverRecord>* const decode_into =
+      sink != nullptr ? &day_records : nullptr;
+  std::uint64_t unmarked = 0;
 
   while (true) {
     if (is_quarantined(seg)) {
@@ -512,11 +454,10 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
       return result;
     }
 
-    std::vector<HandoverRecord> pending;  // records of the not-yet-marked day
-    const SegmentStep* step = &reader.next();
-    for (; step->is_frame(); step = &reader.next()) {
+    const SegmentStep* step = &reader.next(decode_into);
+    for (; step->is_frame(); step = &reader.next(decode_into)) {
       if (step->kind == SegmentStep::kRecord) {
-        pending.push_back(step->record);
+        ++unmarked;
         continue;
       }
       const int day = step->day;
@@ -526,8 +467,11 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
         throw io::IoError{"record log corrupt: non-monotonic day marker in " +
                           path};
       }
-      if (in_day != pending.size() ||
+      if (in_day != unmarked ||
           (!pending_adopt && have_total && total != cursor.records + in_day)) {
+        // A CRC-valid marker whose counts disagree with the frames on disk
+        // means a writer bug or tampering, not a torn tail: fail loudly
+        // rather than silently serving a record stream of unknown shape.
         throw io::IoError{"record log corrupt: marker record counts disagree "
                           "with the frames preceding it (" +
                           path + ")"};
@@ -546,9 +490,12 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
       // Commit point for the reader: deliver the whole day, then advance
       // the cursor past the marker — records and cursor move in lockstep,
       // so an exception anywhere above leaves both at the previous day.
-      for (const HandoverRecord& r : pending) sink.consume(r);
-      sink.on_day_end(day);
-      pending.clear();
+      if (sink != nullptr) {
+        for (const HandoverRecord& r : day_records) sink->consume(r);
+        sink->on_day_end(day);
+        day_records.clear();
+      }
+      unmarked = 0;
       if (pending_adopt) {
         // First surviving marker past a quarantined hole: its cumulative
         // total quantifies exactly what the hole swallowed. Committed
@@ -571,6 +518,8 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
         }
         pending_adopt = false;
       }
+      // First marker of a retention-pruned chain: its cumulative total is
+      // adopted (the frames it counts were deleted) and verified from here on.
       cursor.day = day;
       cursor.records = total;
       cursor.segment = seg;
@@ -582,26 +531,11 @@ TailReadResult RecordLog::follow(io::FileSystem& fs, const std::string& director
                                    step->app_state.end());
     }
 
-    if (step->kind != SegmentStep::kEnd) {
-      // Bytes past the end of the data (a short segment, a frame running
-      // past end-of-file) are a write still in flight — but only in the
-      // newest segment. Sealed segments never grow (rolls are commit-
-      // aligned), so the same truncation mid-chain is damage (a crash at
-      // segment creation under ENOSPC, rot in a length field) that waiting
-      // can never heal. Everything else (bad header, garbage length, a
-      // complete frame with a bad CRC, a foreign frame) can only be a torn
-      // tail from a crash, or rot: never deliverable.
-      result.state = step->kind == SegmentStep::kTruncated && !sealed
-                         ? TailState::kPending
-                         : TailState::kTorn;
-      return result;
-    }
-    if (!pending.empty()) {
-      // Record frames with no marker at the end of the segment: an in-flight
-      // (or crashed) commit. Days never span segments — rolls are
-      // commit-aligned — so in a sealed segment this is structural
-      // corruption, not a pending write.
-      result.state = sealed ? TailState::kTorn : TailState::kPending;
+    end.unmarked_records = unmarked;
+    end.header_valid = end.header_valid || reader.past_header();
+    const TailState state = segment_end_state(step->kind, unmarked > 0, sealed);
+    if (state != TailState::kClean) {
+      result.state = state;
       return result;
     }
     if (!sealed) {
@@ -685,7 +619,7 @@ const SegmentStep& SegmentReader::stop(SegmentStep::Kind kind,
   return step_;
 }
 
-const SegmentStep& SegmentReader::next() {
+const SegmentStep& SegmentReader::next(std::vector<HandoverRecord>* records) {
   if (stopped_) return step_;
   if (offset_ == 0) {
     std::uint8_t header[RecordLog::kSegmentHeaderSize];
@@ -724,7 +658,7 @@ const SegmentStep& SegmentReader::next() {
 
   if (type == RecordLog::kRecordFrame && len == RecordLog::kRecordEncodedSize) {
     step_.kind = SegmentStep::kRecord;
-    step_.record = RecordLog::decode_record(payload_);
+    if (records != nullptr) records->push_back(RecordLog::decode_record(payload_));
   } else if (type == RecordLog::kDayMarkerFrame && len >= kMarkerFixedSize) {
     util::ByteReader marker{payload_, "record log day marker"};
     step_.day = static_cast<int>(marker.u32());

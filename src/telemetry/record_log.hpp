@@ -11,28 +11,28 @@
 //    current study day; commit_day() appends the day's record frames plus a
 //    *day commit marker* (which embeds an opaque application checkpoint),
 //    then flushes and fsyncs — the marker hitting disk IS the commit point.
-//  - Recovery: open() scans segments front to back, stops at the first
-//    invalid byte (bad CRC, truncated frame, torn header), truncates the
-//    log back to the last committed day marker, and reports exactly what
-//    was dropped. The surviving log is always a committed-day prefix of an
-//    uninterrupted run — byte-identical to it, which the chaos harness
-//    (tests/test_durability.cpp) proves across seeded kill schedules.
-//  - Replay: a reader that streams the committed records back through the
-//    ordinary RecordSink interface, so every existing analysis entry point
-//    consumes a recovered log exactly like a live simulation.
 //  - Tail-follow: an incremental reader (LogCursor + follow()) for a
 //    long-running consumer that polls the log while a writer is still
 //    appending. It delivers whole committed days exactly once, and tells
 //    pending tail bytes (an in-flight commit that may yet complete) apart
 //    from torn ones (provably invalid; only the writer's recovery may
 //    truncate them). The serve-mode WalTailer is built on this.
-//  - SegmentReader: the one decoder of the segment format. Recovery, replay,
-//    tail-follow and the scrub audit (telemetry/scrub) all read frames
-//    through it and keep only their own policy for what a stop means.
+//  - Recovery and replay run the same chain walk from a fresh cursor, so
+//    one function decides what a committed day is. open() truncates the
+//    log back to the last day marker the walk delivered and reports
+//    exactly what was dropped. The surviving log is always a committed-day
+//    prefix of an uninterrupted run — byte-identical to it, which the
+//    chaos harness (tests/test_durability.cpp) proves across seeded kill
+//    schedules. replay() streams the committed records back through the
+//    ordinary RecordSink interface, so every analysis entry point consumes
+//    a recovered log exactly like a live simulation.
+//  - SegmentReader: the one decoder of the segment format. The chain walk
+//    and the scrub audit (telemetry/scrub) read frames through it and keep
+//    only their own policy for what a stop means.
 //
 // Retention: the chain may start at any index (segments before a durable
-// consumer cursor can be deleted); recovery and replay accept a contiguous
-// chain wal-<base>..wal-<n> and adopt the cumulative record count from the
+// consumer cursor can be deleted); the chain walk accepts a contiguous
+// chain wal-<base>..wal-<n> and adopts the cumulative record count from the
 // first day marker when base > 0.
 //
 // All I/O goes through io::FileSystem so the chaos harness can inject
@@ -142,7 +142,7 @@ class RecordLog {
     /// seal time (tmp + fsync + rename, read back and CRC-verified), and
     /// open() first runs a storage-integrity pass — restoring any damaged
     /// sealed primary from its clean mirror (and catching the mirror up)
-    /// BEFORE recovery scans the chain, so a single-copy latent defect
+    /// BEFORE recovery walks the chain, so a single-copy latent defect
     /// never costs committed days. The active tail segment is not mirrored
     /// (its torn-tail story is recovery + deterministic regeneration).
     std::string mirror_directory;
@@ -245,9 +245,21 @@ class RecordLog {
   static bool parse_segment_index(const std::string& name, std::uint32_t& index);
 
  private:
-  struct Scan;
-  static Scan scan(io::FileSystem& fs, const std::string& directory,
-                   RecordSink* sink);
+  /// What recovery needs to know about where a walk stopped, beyond the
+  /// cursor and the TailReadResult.
+  struct WalkEnd {
+    /// Complete record frames past the last marker delivered.
+    std::uint64_t unmarked_records = 0;
+    /// Some segment header validated: the chain has a readable start.
+    bool header_valid = false;
+  };
+  /// The one walk of the segment chain, behind follow(), replay() and
+  /// open(): delivers committed days from `cursor` on, checks every marker
+  /// against the frames before it, and stops where the committed prefix
+  /// ends. A null `sink` counts record frames instead of decoding them.
+  static TailReadResult walk(io::FileSystem& fs, const std::string& directory,
+                             LogCursor& cursor, RecordSink* sink,
+                             const FollowOptions& options, WalkEnd& end);
   void append_frame(std::uint8_t type, std::span<const std::uint8_t> payload);
   void roll_segment();
   /// Seal-time mirroring: copies the just-sealed segment into
@@ -297,7 +309,7 @@ class RecordLog {
 /// segment cannot be read past `offset`.
 struct SegmentStep {
   enum Kind : std::uint8_t {
-    kRecord,        ///< record frame; `record` holds it
+    kRecord,        ///< record frame (decoded only into next()'s buffer)
     kMarker,        ///< day marker; day/in_day/total/app_state hold it
     kEnd,           ///< end of data, exactly at a frame boundary
     kTruncated,     ///< header or frame runs past the end of data
@@ -312,7 +324,6 @@ struct SegmentStep {
   /// (the rest of the data when truncated, the frame header for a bad
   /// length, the whole frame for a bad CRC or structure).
   std::uint64_t length = 0;
-  HandoverRecord record;
   int day = -1;
   std::uint64_t in_day = 0;  ///< records the marker's day committed
   std::uint64_t total = 0;   ///< cumulative records through that day
@@ -322,10 +333,18 @@ struct SegmentStep {
   bool is_frame() const noexcept { return kind == kRecord || kind == kMarker; }
 };
 
-/// The one decoder of the WAL segment format, shared by recovery (scan and
-/// replay), tail-follow and the scrub audit. Streams one frame per next():
-/// a 9-byte frame header read, then a payload read — never the whole
-/// segment. Callers keep their own policy (what a stop means, marker
+/// The pending-vs-torn rule for the bytes past a segment's last valid
+/// frame, shared by the chain walk and the scrub audit. `stop` is how the
+/// segment's read ended, `unmarked` says complete record frames follow its
+/// last day marker, and `sealed` that a later segment exists (so this one
+/// never grows again). kClean: the segment ends exactly at a commit.
+TailState segment_end_state(SegmentStep::Kind stop, bool unmarked,
+                            bool sealed) noexcept;
+
+/// The one decoder of the WAL segment format, shared by the chain walk
+/// (recovery, replay, tail-follow) and the scrub audit. Streams one frame
+/// per next(): a 9-byte frame header read, then a payload read — never the
+/// whole segment. Callers keep their own policy (what a stop means, marker
 /// bookkeeping); the reader only says what the bytes are.
 class SegmentReader {
  public:
@@ -337,8 +356,9 @@ class SegmentReader {
                 std::uint32_t index, std::uint64_t offset = 0);
 
   /// The next frame, or the stop that ends the segment (repeated on every
-  /// later call).
-  const SegmentStep& next();
+  /// later call). A record frame is decoded straight onto `records` when
+  /// one is given, and not decoded at all otherwise.
+  const SegmentStep& next(std::vector<HandoverRecord>* records = nullptr);
 
   std::uint64_t size() const noexcept { return size_; }
   /// Just past the last frame returned (the header, before any frame).

@@ -83,10 +83,14 @@ SegmentAudit audit_segment(io::FileSystem& fs, const std::string& path,
     const SegmentStep& step = reader.next();
     // A bad header leaves header_valid false: nothing after it is
     // trustworthy.
-    if (!reader.past_header()) return a;
+    if (!reader.past_header()) {
+      a.stop = step.kind;
+      return a;
+    }
     a.header_valid = true;
     a.valid_bytes = step.offset;  // everything before this step verified
     if (!step.is_frame()) {
+      a.stop = step.kind;
       if (step.kind != SegmentStep::kEnd) {
         fail(step.kind == SegmentStep::kTruncated ? DefectClass::kTruncatedFrame
              : step.kind == SegmentStep::kBadCrc  ? DefectClass::kBadFrameCrc
@@ -108,6 +112,7 @@ SegmentAudit audit_segment(io::FileSystem& fs, const std::string& path,
     if (step.in_day != records_since_marker ||
         (a.markers > 0 &&
          (step.total != a.last_total + step.in_day || step.day <= a.last_day))) {
+      a.stop = SegmentStep::kBadStructure;
       fail(DefectClass::kMarkerMismatch, step);
       return a;
     }
@@ -183,26 +188,14 @@ ScrubReport LogScrubber::run() {
         }
       }
     } else {
-      // The active tail: the writer owns its irregularities. Classify like
-      // follow() would — short/truncated growth is pending, anything
-      // provably invalid is torn.
+      // The active tail: the writer owns its irregularities, classified by
+      // the chain walk's own pending-vs-torn rule. A missing tail is a gap
+      // at the chain's end.
       report.tail_suspect_bytes = a.size - a.valid_bytes;
-      if (!a.exists) {
-        report.tail_state = TailState::kTorn;  // gap at the chain's end
-      } else if (!a.header_valid) {
-        report.tail_state = a.size < RecordLog::kSegmentHeaderSize
-                                ? TailState::kPending
-                                : TailState::kTorn;
-        report.tail_suspect_bytes = a.size;
-      } else if (a.has_defect) {
-        report.tail_state = a.defect == DefectClass::kTruncatedFrame
-                                ? TailState::kPending
-                                : TailState::kTorn;
-      } else if (a.valid_bytes == a.size && !a.ends_at_marker && a.frames > 0) {
-        report.tail_state = TailState::kPending;  // day mid-commit
-      } else {
-        report.tail_state = TailState::kClean;
-      }
+      report.tail_state =
+          a.exists ? segment_end_state(a.stop, a.frames > 0 && !a.ends_at_marker,
+                                       false)
+                   : TailState::kTorn;
     }
     report.audits.push_back(std::move(a));
 
@@ -447,12 +440,12 @@ std::uint32_t file_crc32c(io::FileSystem& fs, const std::string& path) {
 
 std::uint32_t copy_file_atomic(io::FileSystem& fs, const std::string& src,
                                const std::string& dst) {
-  const std::vector<std::uint8_t> bytes = io::read_file(fs, src);
-  const std::uint32_t want = util::crc32c(bytes.data(), bytes.size());
-  io::write_file_atomic(fs, dst, bytes);
+  io::write_file_atomic(fs, dst, io::read_file(fs, src));
   // Trust nothing: the repair is only a repair if the bytes now on disk
-  // hash back to the source. (Also catches a transient read fault having
-  // forged the source bytes we copied.)
+  // hash the same as a second, independent read of the source. Hashing the
+  // bytes just copied would miss a transient fault in the source read: a
+  // flipped copy verifies against itself.
+  const std::uint32_t want = file_crc32c(fs, src);
   const std::uint32_t got = file_crc32c(fs, dst);
   if (got != want) {
     throw io::IoError{"segment copy verification failed: " + dst};

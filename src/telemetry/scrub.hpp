@@ -13,8 +13,9 @@
 //    bookkeeping against the chain's cumulative totals, and the chain's
 //    structural invariants (contiguous indices, commit-aligned seals).
 //    Produces a ScrubReport of latent defects by class and byte range.
-//    Unlike recovery's scan it does not stop at the first bad byte — every
-//    segment is audited so repair can plan the whole chain at once.
+//    Unlike the chain walk behind recovery and follow() it does not stop at
+//    the first bad byte — every segment is audited so repair can plan the
+//    whole chain at once.
 //
 //  - Redundancy + repair (LogIntegrity): with RecordLog's opt-in
 //    mirror_directory every sealed segment has a CRC-verified replica.
@@ -89,6 +90,9 @@ struct SegmentAudit {
   int last_day = -1;                 ///< day of the last marker
   std::uint64_t last_total = 0;      ///< cumulative total at the last marker
   bool ends_at_marker = false;       ///< valid prefix ends exactly at a marker
+  /// How the read ended: kEnd at a clean end, else the reader's stop
+  /// (kBadStructure for a marker-count defect).
+  SegmentStep::Kind stop = SegmentStep::kEnd;
   bool has_defect = false;
   DefectClass defect = DefectClass::kBadFrameCrc;
   std::uint64_t defect_offset = 0;
@@ -227,9 +231,10 @@ class LogIntegrity {
 std::uint32_t file_crc32c(io::FileSystem& fs, const std::string& path);
 
 /// Atomically replaces `dst` with the bytes of `src`: copy into dst.tmp,
-/// fsync, rename, then read `dst` back and verify its CRC32C equals the
-/// source bytes' — a repair that did not stick must not report success.
-/// Returns that CRC.
+/// fsync, rename, then read `dst` back and verify its CRC32C equals that of
+/// a second, independent read of `src` — a repair that did not stick, or
+/// copied a transiently misread source, must not report success. Returns
+/// that CRC.
 std::uint32_t copy_file_atomic(io::FileSystem& fs, const std::string& src,
                                const std::string& dst);
 

@@ -573,6 +573,177 @@ TEST(RecordLogTest, FullyCorruptFirstSegmentRecoversToEmptyLog) {
   EXPECT_EQ(RecordLog::read_all(real, tmp.path).size(), 1u);
 }
 
+/// `n` valid record frames of `day`, as a writer would have framed them.
+std::vector<std::uint8_t> record_frames(int day, std::uint32_t n) {
+  std::vector<std::uint8_t> out;
+  const auto put32 = [&out](std::uint32_t x) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::vector<std::uint8_t> payload;
+    RecordLog::encode_record(make_record(day, i), payload);
+    put32(static_cast<std::uint32_t>(payload.size()));
+    std::uint32_t crc = util::crc32c(&RecordLog::kRecordFrame, 1);
+    crc = util::crc32c(payload.data(), payload.size(), crc);
+    put32(util::mask_crc32c(crc));
+    out.push_back(RecordLog::kRecordFrame);
+    out.insert(out.end(), payload.begin(), payload.end());
+  }
+  return out;
+}
+
+void append_bytes(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream os{path, std::ios::binary | std::ios::app};
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+}
+
+struct DaySink final : telemetry::RecordSink {
+  std::vector<HandoverRecord> records;
+  std::vector<int> days;
+  void consume(const HandoverRecord& r) override { records.push_back(r); }
+  void on_day_end(int day) override { days.push_back(day); }
+};
+
+/// Commits `days` days of `per_day` records each and returns them.
+std::vector<HandoverRecord> commit_days(RecordLog& log, int days,
+                                        std::uint32_t per_day) {
+  std::vector<HandoverRecord> written;
+  for (int day = 0; day < days; ++day) {
+    for (std::uint32_t i = 0; i < per_day; ++i) {
+      written.push_back(make_record(day, i));
+      log.append(written.back());
+    }
+    log.commit_day(day, {});
+  }
+  return written;
+}
+
+// Recovery, replay and follow run one chain walk. The three cases below are
+// where the walk recovery and replay used to run on their own disagreed
+// with follow's; each now reads the same through every reader.
+
+TEST(RecordLogTest, NonMonotonicDayMarkerIsRefusedByEveryReader) {
+  TempDir tmp{"log_day_backwards"};
+  auto& real = io::StdioFileSystem::instance();
+  RecordLog::Options opt;
+  opt.directory = tmp.path;  // default (large) segments: one file
+  {
+    RecordLog log{real, opt};
+    log.open();
+    commit_days(log, 3, 4);
+  }
+  // Forge day 2's marker to claim day 0 again, CRC re-sealed: a CRC-valid
+  // chain no writer produces (commit_day refuses a day twice).
+  const std::string seg0 = tmp.path + "/" + RecordLog::segment_name(0);
+  auto bytes = slurp(seg0);
+  constexpr std::size_t kDayBytes =
+      4 * (RecordLog::kFrameHeaderSize + RecordLog::kRecordEncodedSize) +
+      RecordLog::kFrameHeaderSize + 24;
+  const std::size_t marker = RecordLog::kSegmentHeaderSize + 3 * kDayBytes -
+                             (RecordLog::kFrameHeaderSize + 24);
+  ASSERT_EQ(bytes.size(), RecordLog::kSegmentHeaderSize + 3 * kDayBytes);
+  ASSERT_EQ(bytes[marker + 8], RecordLog::kDayMarkerFrame);
+  std::fill_n(bytes.begin() + marker + RecordLog::kFrameHeaderSize, 4, 0);
+  std::uint32_t crc = util::crc32c(&bytes[marker + 8], 1 + 24);
+  crc = util::mask_crc32c(crc);
+  for (int i = 0; i < 4; ++i) bytes[marker + 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  spit(seg0, bytes);
+
+  // Recovery refuses to guess which day the writer should resume after,
+  // and leaves the bytes for inspection.
+  RecordLog log{real, opt};
+  EXPECT_THROW(log.open(), io::IoError);
+  EXPECT_EQ(slurp(seg0), bytes);
+  DaySink replayed;
+  EXPECT_THROW(RecordLog::replay(real, tmp.path, replayed), io::IoError);
+  EXPECT_EQ(replayed.days, (std::vector<int>{0, 1}));
+  DaySink followed;
+  telemetry::LogCursor cursor;
+  EXPECT_THROW(RecordLog::follow(real, tmp.path, cursor, followed), io::IoError);
+  EXPECT_EQ(followed.days, (std::vector<int>{0, 1}));
+  EXPECT_EQ(cursor.day, 1);
+}
+
+TEST(RecordLogTest, SealedSegmentEndingInUnmarkedRecordsIsTornForEveryReader) {
+  TempDir tmp{"log_sealed_unmarked"};
+  auto& real = io::StdioFileSystem::instance();
+  std::vector<HandoverRecord> written;
+  {
+    RecordLog log{real, small_log(tmp.path)};
+    log.open();
+    written = commit_days(log, 3, 20);  // wal-0: days 0-1 (sealed), wal-1: day 2
+  }
+  ASSERT_EQ(real.list(tmp.path, "wal-").size(), 2u);
+  const std::string seg0 = tmp.path + "/" + RecordLog::segment_name(0);
+  const std::string seg1 = tmp.path + "/" + RecordLog::segment_name(1);
+  const std::uint64_t seg0_size = real.file_size(seg0);
+  const std::uint64_t seg1_size = real.file_size(seg1);
+  // Days never span segments, so valid record frames after a sealed
+  // segment's last marker can only be damage, never a commit in flight.
+  const std::vector<std::uint8_t> unmarked = record_frames(9, 3);
+  append_bytes(seg0, unmarked);
+  const std::vector<HandoverRecord> through_day1(written.begin(), written.begin() + 40);
+
+  DaySink followed;
+  telemetry::LogCursor cursor;
+  EXPECT_EQ(RecordLog::follow(real, tmp.path, cursor, followed).state,
+            telemetry::TailState::kTorn);
+  EXPECT_EQ(followed.days, (std::vector<int>{0, 1}));
+  DaySink replayed;
+  EXPECT_EQ(RecordLog::replay(real, tmp.path, replayed), 40u);
+  EXPECT_EQ(replayed.days, (std::vector<int>{0, 1}));
+  expect_identical(replayed.records, through_day1);
+
+  // Recovery truncates back to the committed prefix before the damage, the
+  // same truncate-and-regenerate it applies to any other sealed-segment
+  // damage, then redoes the roll the sealed segment had already made.
+  RecordLog log{real, small_log(tmp.path)};
+  const LogRecoveryReport rep = log.open();
+  EXPECT_EQ(rep.last_committed_day, 1);
+  EXPECT_EQ(rep.committed_records, 40u);
+  EXPECT_EQ(rep.dropped_records, 3u);
+  EXPECT_EQ(rep.dropped_bytes, unmarked.size() + seg1_size);
+  EXPECT_EQ(real.file_size(seg0), seg0_size);
+  EXPECT_EQ(real.file_size(seg1), RecordLog::kSegmentHeaderSize);
+  expect_identical(RecordLog::read_all(real, tmp.path), through_day1);
+}
+
+TEST(RecordLogTest, StrayFilesInTheListingDoNotEndTheChain) {
+  TempDir tmp{"log_stray"};
+  auto& real = io::StdioFileSystem::instance();
+  std::vector<HandoverRecord> written;
+  {
+    RecordLog log{real, small_log(tmp.path)};
+    log.open();
+    written = commit_days(log, 5, 20);  // wal-0: days 0-1, wal-1: 2-3, wal-2: 4
+  }
+  ASSERT_EQ(real.list(tmp.path, "wal-").size(), 3u);
+  // What an interrupted copy into the primary directory leaves behind: a
+  // temp file that lists between wal-00000 and wal-00001. And a backup that
+  // lists before the whole chain. The chain starts at the first segment
+  // name and is walked by segment index, so neither is a link in it.
+  const std::string stray = tmp.path + "/" + RecordLog::segment_name(0) + ".tmp";
+  spit(stray, slurp(tmp.path + "/" + RecordLog::segment_name(0)));
+  spit(tmp.path + "/wal-0.bak", {0x42});
+  const std::string before = log_bytes(tmp.path);
+
+  DaySink followed;
+  telemetry::LogCursor cursor;
+  EXPECT_EQ(RecordLog::follow(real, tmp.path, cursor, followed).state,
+            telemetry::TailState::kClean);
+  EXPECT_EQ(followed.days.size(), 5u);
+  expect_identical(RecordLog::read_all(real, tmp.path), written);
+
+  RecordLog log{real, small_log(tmp.path)};
+  const LogRecoveryReport rep = log.open();
+  EXPECT_EQ(rep.last_committed_day, 4);
+  EXPECT_EQ(rep.committed_records, written.size());
+  EXPECT_EQ(rep.dropped_bytes, 0u);
+  EXPECT_EQ(rep.dropped_records, 0u);
+  EXPECT_EQ(log_bytes(tmp.path), before);  // nothing truncated or deleted
+}
+
 // --- binary checkpoint codec -------------------------------------------------
 
 DayCheckpoint sample_checkpoint() {

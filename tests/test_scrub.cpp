@@ -923,6 +923,36 @@ TEST(ReadFaults, ScrubberToleratesTransientReadFaults) {
   EXPECT_EQ(chain_crcs(tmp.path + "/mirror"), before_mirror);
 }
 
+TEST(ReadFaults, CopyVerifiesAgainstASecondReadOfTheSource) {
+  // A transient flip in the copy's read of its source must not become a
+  // lasting flip in the destination: read-repair would plant the very
+  // damage it exists to remove. The copy is checked against an independent
+  // re-read of the source, never against the bytes it just wrote.
+  TempDir tmp{"copy_ghost"};
+  auto& real = io::StdioFileSystem::instance();
+  std::vector<std::uint8_t> payload(4096);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  const std::string src = tmp.path + "/src.bin";
+  const std::string dst = tmp.path + "/dst.bin";
+  write_file(src, payload);
+
+  io::FaultyFileSystem ffs{real, io::IoFaultPlan{}, 11};
+  io::IoFaultPlan reads;
+  reads.add(0, io::IoFaultKind::kBitRot);  // the copy's first read of `src`
+  ffs.set_read_fault_plan(reads);
+  bool copied = true;
+  try {
+    telemetry::copy_file_atomic(ffs, src, dst);
+  } catch (const io::IoError&) {
+    copied = false;
+  }
+  ASSERT_EQ(ffs.fired().size(), 1u);  // the flip really happened
+  if (copied) EXPECT_EQ(io::read_file(real, dst), payload);
+  EXPECT_EQ(io::read_file(real, src), payload);
+}
+
 // --- the bit-rot chaos suite -------------------------------------------------
 
 struct ChaosVictim {
